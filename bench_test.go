@@ -24,6 +24,7 @@ import (
 	"repro/internal/phit"
 	"repro/internal/route"
 	"repro/internal/router"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/slots"
 	"repro/internal/spec"
@@ -542,6 +543,33 @@ func BenchmarkSlotAllocation(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := slots.Allocate(64, reqs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPlanRipUpTranspose16 plans the 16x16, 600-connection transpose
+// scenario (the scale study's family at its default seed, 8-byte words,
+// wide header, uncapped paths) best-effort with the rip-up allocator —
+// the allocation-only planning path at a size where rip-up's repair
+// trials dominate.
+func BenchmarkPlanRipUpTranspose16(b *testing.B) {
+	scfg := scenario.Default(scenario.Transpose, 16, 16, 600, experiments.Sec7Seed)
+	scfg.WordBytes = 8
+	s, err := scenario.Generate(scfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.Config{
+		Layout: phit.WideLayout, WordBytes: scfg.WordBytes, FreqMHz: scfg.FreqMHz,
+		TableSize: scfg.TableSize, Allocator: "ripup", UncappedPaths: true,
+	}
+	m := s.Mesh()
+	core.PrepareTopology(m, cfg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.PlanAllocation(m, s.UseCase, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package route
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/topology"
 )
@@ -174,13 +175,13 @@ func Candidates(m *topology.Mesh, src, dst topology.NodeID, max int) ([]*Path, e
 		dx = -dx
 	}
 	var out []*Path
-	seen := make(map[string]bool)
 	add := func(p *Path) {
-		key := fmt.Sprint(p.Links)
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, p)
+		for _, q := range out {
+			if slices.Equal(p.Links, q.Links) {
+				return
+			}
 		}
+		out = append(out, p)
 	}
 	for turn := dx; turn >= 0 && len(out) < max; turn-- {
 		p, err := Staircase(m, src, dst, turn)

@@ -95,10 +95,11 @@ func (Greedy) Place(a *Allocation, requests []Request, bestEffort bool) (Result,
 // the connections blocking the most of its candidate slots are released,
 // the blocked request placed, and the victims re-placed on whatever
 // capacity remains (their own candidate paths and per-slot path mixing
-// give them room the first pass did not need). A repair that cannot
-// re-place every victim is rolled back wholesale, so the allocation never
-// degrades: everything the greedy allocator places, RipUp places too, and
-// the repairs only add placements on top.
+// give them room the first pass did not need). Trials run in place on the
+// live allocation; one that cannot re-place every victim is undone from
+// its log, restoring each victim's exact slots and paths, so the
+// allocation never degrades: everything the greedy allocator places,
+// RipUp places too, and the repairs only add placements on top.
 //
 // Only connections placed in the same Place call are ripped: requests
 // already living in the allocation (a running application, during
@@ -177,9 +178,12 @@ func (r RipUp) Place(a *Allocation, requests []Request, bestEffort bool) (Result
 // ripUpRepair tries to place the blocked request by releasing up to
 // maxVictims of the connections blocking its candidate slots and
 // re-placing them afterwards. Victim sets grow cumulatively from the top
-// blocker; each trial runs on a clone and is adopted only when the blocked
-// request and every victim land, so failure leaves a untouched. Returns
-// whether a repair was adopted.
+// blocker. Each trial runs in place on a with an undo log: the victims'
+// assignments are saved before they are released, and a trial in which
+// the blocked request or any victim fails to land releases what did land,
+// in reverse, and restores every saved victim on its recorded slots and
+// paths — so failure leaves a as it was. Returns whether a repair was
+// adopted.
 func ripUpRepair(a *Allocation, req Request, reqOf map[phit.ConnID]Request, rippable map[phit.ConnID]bool, maxVictims int) bool {
 	victims := blockers(a, req, rippable)
 	if len(victims) == 0 {
@@ -188,34 +192,37 @@ func ripUpRepair(a *Allocation, req Request, reqOf map[phit.ConnID]Request, ripp
 	if len(victims) > maxVictims {
 		victims = victims[:maxVictims]
 	}
+	saved := make([]*Assignment, 0, len(victims))
+	landed := make([]phit.ConnID, 0, len(victims)+1)
+	land := func(r Request) bool {
+		asg := placeRequest(a, r)
+		if asg == nil {
+			return false
+		}
+		commitAssignment(a, r, asg)
+		landed = append(landed, r.Conn)
+		return true
+	}
 	for k := 1; k <= len(victims); k++ {
 		set := victims[:k]
-		trial := a.Clone()
+		saved, landed = saved[:0], landed[:0]
 		for _, v := range set {
-			trial.Release(v)
+			saved = append(saved, a.ByConn[v])
+			a.Release(v)
 		}
-		asg := placeRequest(trial, req)
-		if asg == nil {
-			continue
+		ok := land(req)
+		for i := 0; ok && i < k; i++ {
+			ok = land(reqOf[set[i]])
 		}
-		commitAssignment(trial, req, asg)
-		ok := true
-		for _, v := range set {
-			vreq := reqOf[v]
-			vasg := placeRequest(trial, vreq)
-			if vasg == nil {
-				ok = false
-				break
-			}
-			commitAssignment(trial, vreq, vasg)
+		if ok {
+			return true
 		}
-		if !ok {
-			continue
+		for i := len(landed) - 1; i >= 0; i-- {
+			a.Release(landed[i])
 		}
-		// Adopt the repaired clone: same table size, rebuilt claims.
-		a.ByConn = trial.ByConn
-		a.linkOcc = trial.linkOcc
-		return true
+		for _, asg := range saved {
+			a.restore(asg)
+		}
 	}
 	return false
 }

@@ -75,14 +75,30 @@ type Assignment struct {
 	PathOf map[int]*route.Path
 }
 
+// pathOf returns the path slot s was reserved on, falling back to the
+// primary path.
+func (asg *Assignment) pathOf(s int) *route.Path {
+	if p := asg.PathOf[s]; p != nil {
+		return p
+	}
+	return asg.Path
+}
+
 // An Allocation is a complete, contention-free set of assignments over a
 // topology.
 type Allocation struct {
 	TableSize int
 	ByConn    map[phit.ConnID]*Assignment
-	// linkOcc[link][slot] is the connection occupying that link in that
-	// slot.
-	linkOcc map[topology.LinkID][]phit.ConnID
+	// linkOcc[link] is that link's occupancy, indexed by the dense
+	// LinkID; links never claimed have no row.
+	linkOcc []linkRow
+}
+
+// A linkRow is one link's occupancy: owner[slot] is the connection
+// occupying the link in that slot, and used counts the occupied slots.
+type linkRow struct {
+	owner []phit.ConnID
+	used  int
 }
 
 // NewAllocation returns an empty allocation with the given table size.
@@ -93,23 +109,32 @@ func NewAllocation(tableSize int) *Allocation {
 	return &Allocation{
 		TableSize: tableSize,
 		ByConn:    make(map[phit.ConnID]*Assignment),
-		linkOcc:   make(map[topology.LinkID][]phit.ConnID),
 	}
 }
 
-func (a *Allocation) occ(l topology.LinkID) []phit.ConnID {
-	o := a.linkOcc[l]
-	if o == nil {
-		o = make([]phit.ConnID, a.TableSize)
-		a.linkOcc[l] = o
+// row returns the link's occupancy row, making it (and growing the table
+// geometrically to reach it) on first use.
+func (a *Allocation) row(l topology.LinkID) *linkRow {
+	if int(l) >= len(a.linkOcc) {
+		n := 2 * len(a.linkOcc)
+		if n <= int(l) {
+			n = int(l) + 1
+		}
+		grown := make([]linkRow, n)
+		copy(grown, a.linkOcc)
+		a.linkOcc = grown
 	}
-	return o
+	r := &a.linkOcc[l]
+	if r.owner == nil {
+		r.owner = make([]phit.ConnID, a.TableSize)
+	}
+	return r
 }
 
 // SlotFree reports whether injection slot s is free on every link of path p.
 func (a *Allocation) SlotFree(p *route.Path, s int) bool {
 	for k, lid := range p.Links {
-		if a.occ(lid)[(s+p.Shift[k])%a.TableSize] != phit.None {
+		if a.LinkOwner(lid, s+p.Shift[k]) != phit.None {
 			return false
 		}
 	}
@@ -122,17 +147,21 @@ func (a *Allocation) SlotFree(p *route.Path, s int) bool {
 func (a *Allocation) Claim(c phit.ConnID, p *route.Path, s int) {
 	for k, lid := range p.Links {
 		slot := (s + p.Shift[k]) % a.TableSize
-		o := a.occ(lid)
-		if o[slot] != phit.None {
-			panic(fmt.Sprintf("slots: link %d slot %d already owned by connection %d", lid, slot, o[slot]))
+		r := a.row(lid)
+		if r.owner[slot] != phit.None {
+			panic(fmt.Sprintf("slots: link %d slot %d already owned by connection %d", lid, slot, r.owner[slot]))
 		}
-		o[slot] = c
+		r.owner[slot] = c
+		r.used++
 	}
 }
 
 // LinkOwner returns the connection occupying the link in the given slot.
 func (a *Allocation) LinkOwner(l topology.LinkID, slot int) phit.ConnID {
-	o := a.linkOcc[l]
+	if int(l) >= len(a.linkOcc) {
+		return phit.None
+	}
+	o := a.linkOcc[l].owner
 	if o == nil {
 		return phit.None
 	}
@@ -141,17 +170,10 @@ func (a *Allocation) LinkOwner(l topology.LinkID, slot int) phit.ConnID {
 
 // LinkUtilisation returns the fraction of slots occupied on the link.
 func (a *Allocation) LinkUtilisation(l topology.LinkID) float64 {
-	o := a.linkOcc[l]
-	if o == nil {
+	if int(l) >= len(a.linkOcc) {
 		return 0
 	}
-	used := 0
-	for _, c := range o {
-		if c != phit.None {
-			used++
-		}
-	}
-	return float64(used) / float64(a.TableSize)
+	return float64(a.linkOcc[l].used) / float64(a.TableSize)
 }
 
 // NITable builds the injection slot table for the given source NI from the
@@ -173,15 +195,13 @@ func (a *Allocation) NITable(ni topology.NodeID) *Table {
 }
 
 // Verify recomputes link occupancy from scratch and reports any
-// double-booking; it is the structural contention-freedom check.
+// double-booking; it is the structural contention-freedom check. It then
+// compares the recomputed occupancy with the stored one, owners and
+// per-link counters both, so a claim or release that left stale state
+// behind is reported too.
 func (a *Allocation) Verify() error {
-	occ := make(map[topology.LinkID][]phit.ConnID)
-	conns := make([]phit.ConnID, 0, len(a.ByConn))
-	for c := range a.ByConn {
-		conns = append(conns, c)
-	}
-	sort.Slice(conns, func(i, j int) bool { return conns[i] < conns[j] })
-	for _, c := range conns {
+	ref := NewAllocation(a.TableSize)
+	for _, c := range a.Conns() {
 		as := a.ByConn[c]
 		if len(as.Slots) == 0 {
 			return fmt.Errorf("slots: connection %d has no slots", c)
@@ -190,26 +210,43 @@ func (a *Allocation) Verify() error {
 			if s < 0 || s >= a.TableSize {
 				return fmt.Errorf("slots: connection %d slot %d out of range", c, s)
 			}
-			p := as.PathOf[s]
-			if p == nil {
-				p = as.Path
-			}
+			p := as.pathOf(s)
 			for k, lid := range p.Links {
 				slot := (s + p.Shift[k]) % a.TableSize
-				o := occ[lid]
-				if o == nil {
-					o = make([]phit.ConnID, a.TableSize)
-					occ[lid] = o
-				}
-				if o[slot] != phit.None {
+				r := ref.row(lid)
+				if r.owner[slot] != phit.None {
 					return fmt.Errorf("slots: contention on link %d slot %d between connections %d and %d",
-						lid, slot, o[slot], c)
+						lid, slot, r.owner[slot], c)
 				}
-				o[slot] = c
+				r.owner[slot] = c
+				r.used++
 			}
 		}
 	}
+	n := len(a.linkOcc)
+	if len(ref.linkOcc) > n {
+		n = len(ref.linkOcc)
+	}
+	for i := 0; i < n; i++ {
+		l := topology.LinkID(i)
+		for slot := 0; slot < a.TableSize; slot++ {
+			if got, want := a.LinkOwner(l, slot), ref.LinkOwner(l, slot); got != want {
+				return fmt.Errorf("slots: link %d slot %d stored owner %d, assignments give %d", l, slot, got, want)
+			}
+		}
+		if got, want := a.usedOn(l), ref.usedOn(l); got != want {
+			return fmt.Errorf("slots: link %d counts %d used slots, assignments hold %d", l, got, want)
+		}
+	}
 	return nil
+}
+
+// usedOn returns the link's stored used-slot counter.
+func (a *Allocation) usedOn(l topology.LinkID) int {
+	if int(l) >= len(a.linkOcc) {
+		return 0
+	}
+	return a.linkOcc[l].used
 }
 
 // Release frees every claim of a connection, making its slots available
@@ -223,21 +260,28 @@ func (a *Allocation) Release(c phit.ConnID) {
 		panic(fmt.Sprintf("slots: release of unknown connection %d", c))
 	}
 	for _, s := range asg.Slots {
-		p := asg.PathOf[s]
-		if p == nil {
-			p = asg.Path
-		}
+		p := asg.pathOf(s)
 		for k, lid := range p.Links {
 			slot := (s + p.Shift[k]) % a.TableSize
-			o := a.occ(lid)
-			if o[slot] != c {
+			r := a.row(lid)
+			if r.owner[slot] != c {
 				panic(fmt.Sprintf("slots: link %d slot %d owned by %d, not releasing connection %d",
-					lid, slot, o[slot], c))
+					lid, slot, r.owner[slot], c))
 			}
-			o[slot] = phit.None
+			r.owner[slot] = phit.None
+			r.used--
 		}
 	}
 	delete(a.ByConn, c)
+}
+
+// restore re-claims a released assignment on its recorded slots and paths
+// and makes it live again — the undo of Release.
+func (a *Allocation) restore(asg *Assignment) {
+	for _, s := range asg.Slots {
+		a.Claim(asg.Conn, asg.pathOf(s), s)
+	}
+	a.ByConn[asg.Conn] = asg
 }
 
 // ReleaseAll frees every claim of the given connections as one atomic
@@ -257,15 +301,15 @@ func (a *Allocation) ReleaseAll(cs ...phit.ConnID) {
 	}
 }
 
-// Clone deep-copies the allocation: the scratchpad on which admission
-// control runs trial placements without touching the live table. Paths
-// are shared (they are immutable once routed); slot sets and link
-// occupancy are copied.
+// Clone deep-copies the allocation: admission control's scratchpad, on
+// which it probes a placement without touching the live table. Paths are
+// shared (they are immutable once routed); slot sets and link occupancy
+// are copied.
 func (a *Allocation) Clone() *Allocation {
 	c := &Allocation{
 		TableSize: a.TableSize,
 		ByConn:    make(map[phit.ConnID]*Assignment, len(a.ByConn)),
-		linkOcc:   make(map[topology.LinkID][]phit.ConnID, len(a.linkOcc)),
+		linkOcc:   make([]linkRow, len(a.linkOcc)),
 	}
 	for id, asg := range a.ByConn {
 		na := &Assignment{
@@ -279,8 +323,10 @@ func (a *Allocation) Clone() *Allocation {
 		}
 		c.ByConn[id] = na
 	}
-	for l, occ := range a.linkOcc {
-		c.linkOcc[l] = append([]phit.ConnID(nil), occ...)
+	for l, r := range a.linkOcc {
+		if r.owner != nil {
+			c.linkOcc[l] = linkRow{owner: append([]phit.ConnID(nil), r.owner...), used: r.used}
+		}
 	}
 	return c
 }

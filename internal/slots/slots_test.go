@@ -3,6 +3,7 @@ package slots
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -255,16 +256,40 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 	m := topology.NewMesh(2, 1, 1)
 	a, b := m.NIAt(0, 0, 0), m.NIAt(1, 0, 0)
 	paths := meshPaths(t, m, a, b)
-	alloc, err := Allocate(8, []Request{{Conn: 1, Paths: paths, Count: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Inject a second connection claiming the same slot behind the
+	// Each case corrupts a fresh one-connection allocation behind the
 	// allocator's back.
-	asg := alloc.ByConn[1]
-	alloc.ByConn[2] = &Assignment{Conn: 2, Path: asg.Path, Slots: append([]int(nil), asg.Slots...),
-		PathOf: map[int]*route.Path{asg.Slots[0]: asg.Path}}
-	if err := alloc.Verify(); err == nil {
-		t.Error("Verify missed a double booking")
+	for _, tc := range []struct {
+		name    string
+		want    string // substring of the expected error
+		corrupt func(alloc *Allocation)
+	}{
+		{"double booking", "contention", func(alloc *Allocation) {
+			asg := alloc.ByConn[1]
+			alloc.ByConn[2] = &Assignment{Conn: 2, Path: asg.Path, Slots: append([]int(nil), asg.Slots...),
+				PathOf: map[int]*route.Path{asg.Slots[0]: asg.Path}}
+		}},
+		{"stale owner", "stored owner", func(alloc *Allocation) {
+			// Dropped from ByConn without releasing its claims, as a
+			// rollback that forgot one landed connection would leave it.
+			delete(alloc.ByConn, 1)
+		}},
+		{"stale counter", "used slots", func(alloc *Allocation) {
+			alloc.linkOcc[alloc.ByConn[1].Path.Links[0]].used++
+		}},
+		{"counter on unclaimed link", "used slots", func(alloc *Allocation) {
+			alloc.row(topology.LinkID(len(alloc.linkOcc) + 3)).used = 1
+		}},
+	} {
+		alloc, err := Allocate(8, []Request{{Conn: 1, Paths: paths, Count: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := alloc.Verify(); err != nil {
+			t.Fatalf("%s: clean allocation fails Verify: %v", tc.name, err)
+		}
+		tc.corrupt(alloc)
+		if err := alloc.Verify(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Verify = %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }
