@@ -78,9 +78,6 @@ type NI struct {
 	curIn    *beIn
 	inPacket bool
 
-	sampledIn     phit.Phit
-	sampledCredit int
-
 	tr *trace.Emitter
 }
 
@@ -157,29 +154,21 @@ func (n *NI) Name() string { return n.name }
 // Clock implements sim.Component.
 func (n *NI) Clock() *clock.Clock { return n.clk }
 
-// Sample implements sim.Component.
-func (n *NI) Sample(now clock.Time) {
-	if n.in != nil {
-		n.sampledIn = n.in.Read()
-	} else {
-		n.sampledIn = phit.IdlePhit
-	}
-	if n.creditIn != nil {
-		n.sampledCredit = n.creditIn.Read()
-	} else {
-		n.sampledCredit = 0
-	}
-}
-
 // Update implements sim.Component.
 func (n *NI) Update(now clock.Time) {
-	n.receive(now)
-	n.linkCredit += n.sampledCredit
+	in := phit.IdlePhit
+	if n.in != nil {
+		in = n.in.Read()
+	}
+	n.receive(now, in)
+	if n.creditIn != nil {
+		n.linkCredit += n.creditIn.Read()
+	}
 	n.send(now)
 	// The modelled IP drains the receive path at line rate, so one
 	// credit is returned per received word immediately.
 	if n.creditOut != nil {
-		if n.sampledIn.Valid {
+		if in.Valid {
 			n.creditOut.Drive(1)
 		} else {
 			n.creditOut.Drive(0)
@@ -187,8 +176,7 @@ func (n *NI) Update(now clock.Time) {
 	}
 }
 
-func (n *NI) receive(now clock.Time) {
-	p := n.sampledIn
+func (n *NI) receive(now clock.Time, p phit.Phit) {
 	if !p.Valid {
 		return
 	}
@@ -262,7 +250,6 @@ func (n *NI) send(now clock.Time) {
 		return
 	}
 	meta := oc.queue.Pop(now)
-	meta.Sent = now
 	oc.sent++
 	n.openWords++
 	n.linkCredit--

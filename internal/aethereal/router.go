@@ -32,9 +32,7 @@ type Router struct {
 	rrPtr  []int // round-robin pointer per output
 
 	outCredit []int // credits toward each downstream input buffer
-
-	sampledIn     []phit.Phit
-	sampledCredit []int
+	freed     []int // per-cycle scratch: words leaving each input buffer
 
 	forwarded int64
 	stalls    int64 // cycles an output wanted to send but had no credit
@@ -57,23 +55,22 @@ func NewRouter(name string, arity int, layout phit.HeaderLayout, clk *clock.Cloc
 		panic(fmt.Sprintf("aethereal %s: buffer of %d words cannot cover the credit loop", name, bufWords))
 	}
 	r := &Router{
-		name:          name,
-		clk:           clk,
-		layout:        layout,
-		arity:         arity,
-		bufCap:        bufWords,
-		in:            make([]*sim.Wire[phit.Phit], arity),
-		out:           make([]*sim.Wire[phit.Phit], arity),
-		creditIn:      make([]*sim.Wire[int], arity),
-		creditOut:     make([]*sim.Wire[int], arity),
-		inBuf:         make([][]phit.Phit, arity),
-		curOut:        make([]int, arity),
-		routed:        make([]bool, arity),
-		locked:        make([]int, arity),
-		rrPtr:         make([]int, arity),
-		outCredit:     make([]int, arity),
-		sampledIn:     make([]phit.Phit, arity),
-		sampledCredit: make([]int, arity),
+		name:      name,
+		clk:       clk,
+		layout:    layout,
+		arity:     arity,
+		bufCap:    bufWords,
+		in:        make([]*sim.Wire[phit.Phit], arity),
+		out:       make([]*sim.Wire[phit.Phit], arity),
+		creditIn:  make([]*sim.Wire[int], arity),
+		creditOut: make([]*sim.Wire[int], arity),
+		inBuf:     make([][]phit.Phit, arity),
+		curOut:    make([]int, arity),
+		routed:    make([]bool, arity),
+		locked:    make([]int, arity),
+		rrPtr:     make([]int, arity),
+		outCredit: make([]int, arity),
+		freed:     make([]int, arity),
 	}
 	for i := range r.locked {
 		r.locked[i] = -1
@@ -111,22 +108,6 @@ func (r *Router) Name() string { return r.name }
 // Clock implements sim.Component.
 func (r *Router) Clock() *clock.Clock { return r.clk }
 
-// Sample implements sim.Component.
-func (r *Router) Sample(now clock.Time) {
-	for i := 0; i < r.arity; i++ {
-		if r.in[i] != nil {
-			r.sampledIn[i] = r.in[i].Read()
-		} else {
-			r.sampledIn[i] = phit.IdlePhit
-		}
-		if r.creditIn[i] != nil {
-			r.sampledCredit[i] = r.creditIn[i].Read()
-		} else {
-			r.sampledCredit[i] = 0
-		}
-	}
-}
-
 // headPort returns the output port requested by input i's head word,
 // computing and latching it when the head is a header.
 func (r *Router) headPort(i int) int {
@@ -152,9 +133,12 @@ func (r *Router) headPort(i int) int {
 func (r *Router) Update(now clock.Time) {
 	// Credits freed downstream become usable next cycle.
 	for o := 0; o < r.arity; o++ {
-		r.outCredit[o] += r.sampledCredit[o]
+		if r.creditIn[o] != nil {
+			r.outCredit[o] += r.creditIn[o].Read()
+		}
 	}
-	freed := make([]int, r.arity)
+	freed := r.freed
+	clear(freed)
 
 	// Arbitrate each output.
 	for o := 0; o < r.arity; o++ {
@@ -200,15 +184,16 @@ func (r *Router) Update(now clock.Time) {
 	}
 
 	// Accept arriving words after switching: a word needs a full cycle
-	// in the buffer before it can leave.
+	// in the buffer before it can leave. The input wires still hold the
+	// values committed before this instant.
 	for i := 0; i < r.arity; i++ {
-		if !r.sampledIn[i].Valid {
+		if r.in[i] == nil || !r.in[i].Read().Valid {
 			continue
 		}
 		if len(r.inBuf[i]) >= r.bufCap {
 			panic(fmt.Sprintf("aethereal %s: input %d buffer overflow — link-level flow control violated", r.name, i))
 		}
-		r.inBuf[i] = append(r.inBuf[i], r.sampledIn[i])
+		r.inBuf[i] = append(r.inBuf[i], r.in[i].Read())
 	}
 	for i := 0; i < r.arity; i++ {
 		if r.creditOut[i] != nil {

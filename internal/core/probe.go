@@ -26,7 +26,6 @@ type probe struct {
 	link  topology.LinkID
 	rep   fault.Reporter
 
-	sampled  phit.Phit
 	observed int64
 
 	// Hyperperiod-boundary snapshot and per-epoch delta (see probe_replay.go).
@@ -34,12 +33,11 @@ type probe struct {
 	rmValid              bool
 }
 
-func (p *probe) Name() string          { return p.name }
-func (p *probe) Clock() *clock.Clock   { return p.clk }
-func (p *probe) Sample(now clock.Time) { p.sampled = p.wire.Read() }
+func (p *probe) Name() string        { return p.name }
+func (p *probe) Clock() *clock.Clock { return p.clk }
 
 func (p *probe) Update(now clock.Time) {
-	if !p.sampled.Valid {
+	if !p.wire.Read().Valid {
 		return
 	}
 	edge, ok := p.clk.EdgeIndex(now)
@@ -52,7 +50,7 @@ func (p *probe) Update(now clock.Time) {
 		}
 		panic(fmt.Sprintf("%s: update off-edge at %d ps", p.name, now))
 	}
-	// The sampled value was driven in the previous cycle; attribute it
+	// The value read was driven in the previous cycle; attribute it
 	// to that cycle's slot.
 	drive := edge - 1
 	if drive < 0 {
@@ -60,7 +58,7 @@ func (p *probe) Update(now clock.Time) {
 	}
 	slot := int((drive / phit.FlitWords) % int64(p.alloc.TableSize))
 	owner := p.alloc.LinkOwner(p.link, slot)
-	got := p.sampled.Meta.Conn
+	got := p.wire.Read().Meta.Conn
 	if got != owner {
 		fault.Report(p.rep, fault.Violation{
 			Kind: fault.SlotOwnership, Component: p.name, Time: now, Slot: slot,

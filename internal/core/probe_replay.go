@@ -2,8 +2,7 @@ package core
 
 // Hyperperiod replay support for the slot-ownership probe: it decodes the
 // edge index into a TDM slot, so its pattern period is one slot-table
-// revolution. Its only mutable state is the monotone observation counter
-// (sampled is overwritten before every use).
+// revolution. Its only mutable state is the monotone observation counter.
 
 import (
 	"repro/internal/clock"

@@ -23,9 +23,8 @@ type slotWriter struct {
 	slotOffset int64
 }
 
-func (w *slotWriter) Name() string          { return w.name }
-func (w *slotWriter) Clock() *clock.Clock   { return w.clk }
-func (w *slotWriter) Sample(now clock.Time) {}
+func (w *slotWriter) Name() string        { return w.name }
+func (w *slotWriter) Clock() *clock.Clock { return w.clk }
 
 func (w *slotWriter) Update(now clock.Time) {
 	edge, ok := w.clk.EdgeIndex(now)

@@ -20,7 +20,6 @@ type SlotChecker struct {
 	wire *sim.Wire[phit.Phit]
 	rep  Reporter
 
-	sampled phit.Phit
 	curSlot int64
 	conn    phit.ConnID
 	headers int
@@ -41,19 +40,17 @@ func (s *SlotChecker) Name() string { return s.name }
 // Clock implements sim.Component.
 func (s *SlotChecker) Clock() *clock.Clock { return s.clk }
 
-// Sample implements sim.Component.
-func (s *SlotChecker) Sample(now clock.Time) { s.sampled = s.wire.Read() }
-
 // Update implements sim.Component.
 func (s *SlotChecker) Update(now clock.Time) {
-	if !s.sampled.Valid {
+	p := s.wire.Read()
+	if !p.Valid {
 		return
 	}
 	edge, ok := s.clk.EdgeIndex(now)
 	if !ok {
 		return
 	}
-	// The sampled value was driven in the previous cycle; attribute it to
+	// The value read was driven in the previous cycle; attribute it to
 	// that cycle's slot.
 	drive := edge - 1
 	if drive < 0 {
@@ -62,22 +59,22 @@ func (s *SlotChecker) Update(now clock.Time) {
 	slot := drive / phit.FlitWords
 	if slot != s.curSlot {
 		s.curSlot = slot
-		s.conn = s.sampled.Meta.Conn
+		s.conn = p.Meta.Conn
 		s.headers = 0
 		s.flagged = false
 	}
-	if s.sampled.Kind == phit.Header || s.sampled.Kind == phit.CreditOnly {
+	if p.Kind == phit.Header || p.Kind == phit.CreditOnly {
 		s.headers++
 	}
 	s.Observed++
 	if s.flagged {
 		return
 	}
-	if s.sampled.Meta.Conn != s.conn {
+	if p.Meta.Conn != s.conn {
 		s.flagged = true
 		Report(s.rep, Violation{
 			Kind: SlotContention, Component: s.name, Time: now, Slot: int(slot % int64(1<<31)),
-			Detail: fmt.Sprintf("connections %d and %d share one slot", s.conn, s.sampled.Meta.Conn),
+			Detail: fmt.Sprintf("connections %d and %d share one slot", s.conn, p.Meta.Conn),
 		})
 		return
 	}
@@ -137,9 +134,6 @@ func (l *LivenessChecker) Name() string { return l.name }
 
 // Clock implements sim.Component.
 func (l *LivenessChecker) Clock() *clock.Clock { return l.clk }
-
-// Sample implements sim.Component.
-func (l *LivenessChecker) Sample(now clock.Time) {}
 
 // Update implements sim.Component.
 func (l *LivenessChecker) Update(now clock.Time) {

@@ -144,21 +144,19 @@ func (s *Stage) MaxFIFOOccupancy() int { return s.fifo.MaxOccupancy() }
 // Forwarded reports how many flits the FSM has forwarded.
 func (s *Stage) Forwarded() int64 { return s.fsm.flits }
 
-// writerTap samples the upstream wire on the source-synchronous clock and
+// writerTap reads the upstream wire on the source-synchronous clock and
 // pushes valid words into the bi-synchronous FIFO.
 type writerTap struct {
-	stage   *Stage
-	clk     *clock.Clock
-	in      *sim.Wire[phit.Phit]
-	sampled phit.Phit
+	stage *Stage
+	clk   *clock.Clock
+	in    *sim.Wire[phit.Phit]
 }
 
-func (t *writerTap) Name() string          { return t.stage.name + ".tap" }
-func (t *writerTap) Clock() *clock.Clock   { return t.clk }
-func (t *writerTap) Sample(now clock.Time) { t.sampled = t.in.Read() }
+func (t *writerTap) Name() string        { return t.stage.name + ".tap" }
+func (t *writerTap) Clock() *clock.Clock { return t.clk }
 
 func (t *writerTap) Update(now clock.Time) {
-	if t.sampled.Valid {
+	if t.in.Read().Valid {
 		// aelite sizes the FIFO to never fill under the skew assumption,
 		// so a full FIFO is an envelope violation; the word is lost, as
 		// it would be in hardware (there is no full/accept handshake,
@@ -170,7 +168,7 @@ func (t *writerTap) Update(now clock.Time) {
 			})
 			return
 		}
-		t.stage.fifo.Push(now, t.sampled)
+		t.stage.fifo.Push(now, t.in.Read())
 		if t.stage.tr != nil {
 			if l := t.stage.fifo.Len(); l > t.stage.maxOcc {
 				t.stage.maxOcc = l
@@ -195,9 +193,8 @@ type readerFSM struct {
 	rmValid        bool
 }
 
-func (f *readerFSM) Name() string          { return f.stage.name + ".fsm" }
-func (f *readerFSM) Clock() *clock.Clock   { return f.clk }
-func (f *readerFSM) Sample(now clock.Time) {}
+func (f *readerFSM) Name() string        { return f.stage.name + ".fsm" }
+func (f *readerFSM) Clock() *clock.Clock { return f.clk }
 
 func (f *readerFSM) Update(now clock.Time) {
 	n, ok := f.clk.EdgeIndex(now)

@@ -118,11 +118,10 @@ type NI struct {
 	// Receiver state.
 	curIn      *inConn
 	inPacket   bool
-	sampled    phit.Phit
 	paddingSum int64
 
-	// phase tracks the word index within the current flit cycle in
-	// component mode; in wrapper (flit-granular) mode it is unused.
+	// wrapped marks an NI driven flit by flit by an asynchronous wrapper
+	// (StepFlit); such an NI must never also be updated by the engine.
 	wrapped bool
 
 	// dropPacket discards the remainder of an incoming packet whose
@@ -340,16 +339,10 @@ func (n *NI) Name() string { return n.name }
 // Clock implements sim.Component.
 func (n *NI) Clock() *clock.Clock { return n.clk }
 
-// Sample implements sim.Component.
-func (n *NI) Sample(now clock.Time) {
-	if n.in != nil {
-		n.sampled = n.in.Read()
-	} else {
-		n.sampled = phit.IdlePhit
-	}
-}
-
-// Update implements sim.Component.
+// Update implements sim.Component. The output wire is driven only when
+// the drive can change what it shows: a valid word, a wire that still
+// shows a valid word and must go idle, or a wire whose fault intercept
+// observes every commit. Otherwise it already reads idle.
 func (n *NI) Update(now clock.Time) {
 	if n.wrapped {
 		panic(fmt.Sprintf("ni %s: engine Update on a wrapper-mode NI", n.name))
@@ -358,20 +351,28 @@ func (n *NI) Update(now clock.Time) {
 	if !ok {
 		panic(fmt.Sprintf("ni %s: update off-edge at %d ps", n.name, now))
 	}
-	n.receive(now, n.sampled)
+	if n.in != nil {
+		n.receive(now, n.in.Read())
+	} else {
+		n.receive(now, phit.IdlePhit)
+	}
 	w := int(edge % phit.FlitWords)
 	if w == 0 {
 		slot := int((edge / phit.FlitWords) % int64(n.table.Size()))
 		n.buildFlit(now, slot)
 		n.flitIndex++
 	}
-	if n.out != nil {
-		n.out.Drive(n.flitBuf[w])
-	} else if n.flitBuf[w].Valid {
-		fault.Report(n.rep, fault.Violation{
-			Kind: fault.RouteError, Component: "ni " + n.name, Time: now, Slot: fault.NoSlot,
-			Detail: "valid phit but no output wire, phit dropped",
-		})
+	p := &n.flitBuf[w]
+	switch {
+	case n.out == nil:
+		if p.Valid {
+			fault.Report(n.rep, fault.Violation{
+				Kind: fault.RouteError, Component: "ni " + n.name, Time: now, Slot: fault.NoSlot,
+				Detail: "valid phit but no output wire, phit dropped",
+			})
+		}
+	case p.Valid || n.out.Read().Valid || n.out.HasIntercept():
+		n.out.Drive(*p)
 	}
 }
 
@@ -629,7 +630,6 @@ func (n *NI) buildFlit(now clock.Time, slot int) {
 	sent := 0
 	for ; word < phit.FlitWords && sent < avail; word++ {
 		meta := oc.queue.Pop(now)
-		meta.Sent = now
 		n.flitBuf[word] = phit.Phit{Valid: true, Kind: phit.Payload, Data: phit.Word(meta.Seq), Meta: meta}
 		if n.tr != nil {
 			n.tr.Emit(trace.Event{Time: now, Ref: meta.Injected, Kind: trace.Send,
@@ -706,7 +706,6 @@ func (n *NI) buildFlitReliable(now clock.Time, slot int, owner phit.ConnID, oc *
 	word := 1
 	for ; word <= avail; word++ {
 		meta := oc.queue.Pop(now)
-		meta.Sent = now
 		n.flitBuf[word] = phit.Phit{Valid: true, Kind: phit.Payload, Data: phit.Word(meta.Seq), Meta: meta}
 		if n.tr != nil {
 			n.tr.Emit(trace.Event{Time: now, Ref: meta.Injected, Kind: trace.Send,

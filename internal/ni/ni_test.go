@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/clock"
+	"repro/internal/fault"
 	"repro/internal/phit"
 	"repro/internal/sim"
 	"repro/internal/slots"
@@ -360,4 +361,60 @@ func TestNIStepFlitWrapperMode(t *testing.T) {
 		}
 	}()
 	n.Update(clk.Period)
+}
+
+// TestDuplicateOnOutputVisibleOneCycle: a fault duplicate on an NI output
+// wire replays the flit's last word into the following cycle, and from
+// the cycle after that the wire must read idle again although the NI has
+// nothing more to send. The NI only skips a drive that cannot change the
+// wire, so it must re-drive idle onto a wire that still shows a valid word
+// and drive every commit of an intercepted wire.
+func TestDuplicateOnOutputVisibleOneCycle(t *testing.T) {
+	eng := sim.New()
+	clk := clock.NewMHz("clk", 500, 0)
+	out := sim.NewWire[phit.Phit]("out")
+	eng.AddWireClocked(out, clk)
+	tbl := slots.NewTable(4)
+	tbl.Slots[0] = 1
+	hdr, err := layout.Encode(nil, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := New("A", clk, layout, tbl, nil, out)
+	n.AddOutConn(OutConnConfig{ID: 1, Header: hdr, InitialCredits: 8})
+	eng.Add(n)
+	if !n.Offer(0, 1, phit.Meta{Seq: 0}) {
+		t.Fatal("Offer rejected")
+	}
+	// Slot 0 opens at edge 12: header, payload, then padding with EoP at
+	// edge 14. Arm the duplicate after the payload so it repeats the
+	// padding word.
+	camp := fault.NewCampaign(&fault.Plan{Events: []fault.Event{
+		{At: 13*clk.Period + 1, Op: fault.OpDuplicate, Target: "out", Param: 1},
+	}}, nil)
+	if err := camp.Arm(eng, fault.Targets{Links: []fault.LinkTarget{{Name: "out", Wire: out}}}); err != nil {
+		t.Fatal(err)
+	}
+
+	var valid []int64 // edges whose committed output is valid
+	var seen []phit.Phit
+	for edge := int64(1); edge <= 23; edge++ {
+		eng.Run(clock.Time(edge) * clk.Period)
+		if p := out.Read(); p.Valid {
+			valid = append(valid, edge)
+			seen = append(seen, p)
+		}
+	}
+	want := []int64{12, 13, 14, 15}
+	if len(valid) != len(want) {
+		t.Fatalf("output valid at edges %v, want %v (flit, then one duplicate)", valid, want)
+	}
+	for i := range want {
+		if valid[i] != want[i] {
+			t.Fatalf("output valid at edges %v, want %v (flit, then one duplicate)", valid, want)
+		}
+	}
+	if seen[3] != seen[2] || seen[2].Kind != phit.Padding || !seen[2].EoP {
+		t.Errorf("duplicate %v, want a repeat of the closing padding word %v", seen[3], seen[2])
+	}
 }

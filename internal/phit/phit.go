@@ -69,7 +69,6 @@ type Meta struct {
 	Conn     ConnID
 	Seq      int64      // payload word sequence number within the connection
 	Injected clock.Time // when the word was accepted by the source NI queue
-	Sent     clock.Time // when the word left the source NI onto the network
 }
 
 // A Phit is the value on a link during one cycle: sideband valid and EoP

@@ -33,9 +33,8 @@ type beeper struct {
 	marked     bool
 }
 
-func (b *beeper) Name() string          { return b.name }
-func (b *beeper) Clock() *clock.Clock   { return b.clk }
-func (b *beeper) Sample(now clock.Time) {}
+func (b *beeper) Name() string        { return b.name }
+func (b *beeper) Clock() *clock.Clock { return b.clk }
 func (b *beeper) Update(now clock.Time) {
 	b.updates++
 	if b.cycle%4 == 0 && b.em != nil {

@@ -130,11 +130,10 @@ func AppendPhit(buf []byte, p phit.Phit, ctx *Ctx) []byte {
 	buf = AppendI64(buf, int64(p.Meta.Conn))
 	buf = AppendI64(buf, seq)
 	buf = AppendTime(buf, p.Meta.Injected, ctx)
-	buf = AppendTime(buf, p.Meta.Sent, ctx)
 	return buf
 }
 
-// ShiftPhit fast-forwards a phit's metadata: injection/send instants by
+// ShiftPhit fast-forwards a phit's metadata: its injection instant by
 // s.DT, payload sequence numbers (and the Data word carrying them) by
 // s.DSeq of the phit's connection.
 func ShiftPhit(p phit.Phit, s *Shift) phit.Phit {
@@ -147,7 +146,6 @@ func ShiftPhit(p phit.Phit, s *Shift) phit.Phit {
 		p.Data += phit.Word(d)
 	}
 	p.Meta.Injected = ShiftTime(p.Meta.Injected, s.DT)
-	p.Meta.Sent = ShiftTime(p.Meta.Sent, s.DT)
 	return p
 }
 
@@ -157,7 +155,6 @@ func AppendMeta(buf []byte, m phit.Meta, ctx *Ctx) []byte {
 	buf = AppendI64(buf, int64(m.Conn))
 	buf = AppendI64(buf, m.Seq-base)
 	buf = AppendTime(buf, m.Injected, ctx)
-	buf = AppendTime(buf, m.Sent, ctx)
 	return buf
 }
 
@@ -165,7 +162,6 @@ func AppendMeta(buf []byte, m phit.Meta, ctx *Ctx) []byte {
 func ShiftMeta(m phit.Meta, s *Shift) phit.Meta {
 	m.Seq += s.DSeq(m.Conn)
 	m.Injected = ShiftTime(m.Injected, s.DT)
-	m.Sent = ShiftTime(m.Sent, s.DT)
 	return m
 }
 

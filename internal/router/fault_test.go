@@ -163,3 +163,49 @@ func TestComponentUnconnectedOutputCollects(t *testing.T) {
 		}
 	}
 }
+
+// TestDuplicateOnOutputVisibleOneCycle: a fault duplicate on a router
+// output wire replays the last phit of a flit into the following cycle,
+// and from the cycle after that the wire must read idle again although
+// the router has nothing more to send. The router only skips a drive that
+// cannot change the wire, so it must re-drive idle onto a wire that still
+// shows a valid phit and drive every commit of an intercepted wire.
+func TestDuplicateOnOutputVisibleOneCycle(t *testing.T) {
+	eng := sim.New()
+	clk := clock.NewMHz("clk", 500, 0)
+	in := sim.NewWire[phit.Phit]("in")
+	out := sim.NewWire[phit.Phit]("out")
+	eng.AddWireClocked(in, clk)
+	eng.AddWireClocked(out, clk)
+	r := NewComponent("r", 2, layout, clk)
+	r.ConnectIn(0, in)
+	r.ConnectOut(1, out)
+	eng.Add(r)
+	credit := header(t, []int{1}, 0)
+	credit.Kind, credit.EoP = phit.CreditOnly, true
+	eng.Add(&scriptedSource{name: "src", clk: clk, out: in, seq: []phit.Phit{credit}})
+	camp := fault.NewCampaign(&fault.Plan{Events: []fault.Event{
+		{At: 1, Op: fault.OpDuplicate, Target: "out", Param: 1},
+	}}, nil)
+	if err := camp.Arm(eng, fault.Targets{Links: []fault.LinkTarget{{Name: "out", Wire: out}}}); err != nil {
+		t.Fatal(err)
+	}
+
+	var valid []int // cycles whose committed output is valid
+	var seen []phit.Phit
+	for cyc := 1; cyc <= 12; cyc++ {
+		eng.Run(eng.Now() + clk.Period)
+		if p := out.Read(); p.Valid {
+			valid = append(valid, cyc)
+			seen = append(seen, p)
+		}
+	}
+	// Driven at the source's first edge, the word leaves the 3-stage
+	// pipeline at cycle 4; the duplicate repeats it at cycle 5 only.
+	if len(valid) != 2 || valid[0] != 4 || valid[1] != 5 {
+		t.Fatalf("output valid at cycles %v, want [4 5] (original, then one duplicate)", valid)
+	}
+	if seen[0] != seen[1] {
+		t.Errorf("duplicate %v differs from original %v", seen[1], seen[0])
+	}
+}

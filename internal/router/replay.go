@@ -35,7 +35,12 @@ func (r *Component) ReplayFingerprint(ctx *replay.Ctx, buf []byte) []byte {
 	}
 	for _, reg := range c.reg2 {
 		buf = replay.AppendPhit(buf, reg.p, ctx)
-		buf = replay.AppendI64(buf, int64(reg.outPort))
+		// An idle register's port is stale and never read.
+		var port int64
+		if reg.p.Valid {
+			port = int64(reg.outPort)
+		}
+		buf = replay.AppendI64(buf, port)
 	}
 	for _, st := range c.hpu {
 		var f int64
@@ -44,8 +49,8 @@ func (r *Component) ReplayFingerprint(ctx *replay.Ctx, buf []byte) []byte {
 		}
 		buf = replay.AppendI64(buf, f<<32|int64(uint32(st.outPort)))
 	}
-	for _, fl := range c.flitLeft {
-		buf = append(buf, byte(fl))
+	for _, reg := range c.reg2 {
+		buf = append(buf, byte(reg.flitLeft))
 	}
 	return buf
 }

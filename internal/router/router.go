@@ -6,14 +6,9 @@ import (
 	"repro/internal/clock"
 	"repro/internal/fault"
 	"repro/internal/phit"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
-
-// A Source provides a phit when sampled; sim.Wire[phit.Phit] implements it.
-type Source interface{ Read() phit.Phit }
-
-// A Sink accepts a driven phit; sim.Wire[phit.Phit] implements it.
-type Sink interface{ Drive(phit.Phit) }
 
 // hpuState tracks one input's position within a packet.
 type hpuState struct {
@@ -25,11 +20,23 @@ type hpuState struct {
 type stage2Reg struct {
 	p       phit.Phit
 	outPort int
+
+	// flitLeft counts the words remaining in the flit currently crossing
+	// this input's switch stage, so tracing can emit one RouterForward
+	// per flit instead of one per word. A flit's first word is never
+	// idle, so the counter self-aligns: zero at a valid word marks a flit
+	// start. It lives beside the register the switch reads anyway.
+	flitLeft int8
 }
 
 // Core is the cycle-exact aelite router state machine. Step advances it by
 // one clock cycle. Core carries no notion of time or wiring; callers own
 // both.
+//
+// The pipeline registers hold a phit per port, but only the valid ones do
+// work: an idle port clears one Valid bit per stage and copies nothing.
+// An invalid register's other fields are stale and never read — a phit
+// whose valid bit is low carries no information in hardware either.
 type Core struct {
 	name   string
 	layout phit.HeaderLayout
@@ -37,13 +44,8 @@ type Core struct {
 
 	reg1 []phit.Phit // input registers (stage 1)
 	reg2 []stage2Reg // HPU output registers (stage 2)
+	out  []phit.Phit // switch outputs of the current cycle (stage 3)
 	hpu  []hpuState
-
-	// flitLeft counts the words remaining in the flit currently crossing
-	// each input's switch stage, so tracing can emit one RouterForward per
-	// flit instead of one per word. A flit's first word is never idle, so
-	// the counter self-aligns: zero at a valid word marks a flit start.
-	flitLeft []int8
 
 	// forwarded counts valid phits switched, a cheap progress metric.
 	// mForwarded/dForwarded are its hyperperiod-boundary snapshot and
@@ -73,13 +75,13 @@ func NewCore(name string, arity int, layout phit.HeaderLayout) *Core {
 		panic(fmt.Sprintf("router %s: %v", name, err))
 	}
 	return &Core{
-		name:     name,
-		layout:   layout,
-		arity:    arity,
-		reg1:     make([]phit.Phit, arity),
-		reg2:     make([]stage2Reg, arity),
-		hpu:      make([]hpuState, arity),
-		flitLeft: make([]int8, arity),
+		name:   name,
+		layout: layout,
+		arity:  arity,
+		reg1:   make([]phit.Phit, arity),
+		reg2:   make([]stage2Reg, arity),
+		out:    make([]phit.Phit, arity),
+		hpu:    make([]hpuState, arity),
 	}
 }
 
@@ -117,8 +119,27 @@ func (c *Core) Step(in []phit.Phit, out []phit.Phit) []phit.Phit {
 		out = make([]phit.Phit, c.arity)
 	}
 	out = out[:c.arity]
-	for i := range out {
-		out[i] = phit.IdlePhit
+	c.advance()
+	for i := range in {
+		c.latch(i, &in[i])
+	}
+	for o := range out {
+		if c.out[o].Valid {
+			out[o] = c.out[o]
+		} else {
+			out[o] = phit.IdlePhit
+		}
+	}
+	return out
+}
+
+// advance runs stages 3 and 2 of one cycle: the switch moves the HPU
+// registers to c.out, then the HPUs move the input registers to the HPU
+// registers. The caller completes the cycle by latching every input port
+// (stage 1).
+func (c *Core) advance() {
+	for o := range c.out {
+		c.out[o].Valid = false
 	}
 
 	// Stage 3: switch reg2 to the outputs. TDM contention-freedom means
@@ -130,16 +151,16 @@ func (c *Core) Step(in []phit.Phit, out []phit.Phit) []phit.Phit {
 	for i := range c.reg2 {
 		r := &c.reg2[i]
 		if !r.p.Valid {
-			if c.flitLeft[i] > 0 {
-				c.flitLeft[i]-- // idle padding inside a flit
+			if r.flitLeft > 0 {
+				r.flitLeft-- // idle padding inside a flit
 			}
 			continue
 		}
-		flitStart := c.flitLeft[i] == 0
+		flitStart := r.flitLeft == 0
 		if flitStart {
-			c.flitLeft[i] = phit.FlitWords - 1
+			r.flitLeft = phit.FlitWords - 1
 		} else {
-			c.flitLeft[i]--
+			r.flitLeft--
 		}
 		if r.outPort < 0 || r.outPort >= c.arity {
 			fault.Report(c.rep, fault.Violation{
@@ -149,15 +170,15 @@ func (c *Core) Step(in []phit.Phit, out []phit.Phit) []phit.Phit {
 			})
 			continue
 		}
-		if out[r.outPort].Valid {
+		if o := &c.out[r.outPort]; o.Valid {
 			fault.Report(c.rep, fault.Violation{
 				Kind: fault.SlotContention, Component: "router " + c.name, Time: c.now, Slot: fault.NoSlot,
 				Detail: fmt.Sprintf("TDM contention on output %d between connections %d and %d — slot allocation violated",
-					r.outPort, out[r.outPort].Meta.Conn, r.p.Meta.Conn),
+					r.outPort, o.Meta.Conn, r.p.Meta.Conn),
 			})
 			continue
 		}
-		out[r.outPort] = r.p
+		c.out[r.outPort] = r.p
 		c.forwarded++
 		if c.tr != nil && flitStart {
 			c.tr.Emit(trace.Event{Time: c.now, Kind: trace.RouterForward, Conn: r.p.Meta.Conn,
@@ -170,12 +191,13 @@ func (c *Core) Step(in []phit.Phit, out []phit.Phit) []phit.Phit {
 	// non-header phit outside a packet (a dropped or corrupted header
 	// upstream) is discarded until the next packet start.
 	for i := range c.reg1 {
-		p := c.reg1[i]
-		st := &c.hpu[i]
+		p := &c.reg1[i]
+		r := &c.reg2[i]
 		if !p.Valid {
-			c.reg2[i] = stage2Reg{}
+			r.p.Valid = false
 			continue
 		}
+		st := &c.hpu[i]
 		if !st.inPacket {
 			if p.Kind != phit.Header && p.Kind != phit.CreditOnly {
 				fault.Report(c.rep, fault.Violation{
@@ -183,36 +205,43 @@ func (c *Core) Step(in []phit.Phit, out []phit.Phit) []phit.Phit {
 					Detail: fmt.Sprintf("input %d expected header, got %v (conn %d), phit dropped",
 						i, p.Kind, p.Meta.Conn),
 				})
-				c.reg2[i] = stage2Reg{}
+				r.p.Valid = false
 				continue
 			}
 			port, shifted := c.layout.NextPort(p.Data)
-			p.Data = shifted
+			r.p = *p
+			r.p.Data = shifted
 			st.outPort = port
 			st.inPacket = true
+		} else {
+			r.p = *p
 		}
 		if p.EoP {
 			st.inPacket = false
 		}
-		c.reg2[i] = stage2Reg{p: p, outPort: st.outPort}
+		r.outPort = st.outPort
 	}
-
-	// Stage 1: input registers.
-	copy(c.reg1, in)
-	return out
 }
 
-// Component adapts a Core to the simulation engine: inputs are sampled
-// from Sources and outputs driven to Sinks each cycle of the router's
-// clock.
+// latch is stage 1 for input port i: the input register takes p when it
+// is valid; an idle input only clears the register's valid bit.
+func (c *Core) latch(i int, p *phit.Phit) {
+	if p.Valid {
+		c.reg1[i] = *p
+	} else {
+		c.reg1[i].Valid = false
+	}
+}
+
+// Component adapts a Core to the simulation engine: each cycle of the
+// router's clock it reads its input wires in place and drives its output
+// wires.
 type Component struct {
 	core *Core
 	clk  *clock.Clock
 
-	in      []Source
-	out     []Sink
-	sampled []phit.Phit
-	outBuf  []phit.Phit
+	in  []*sim.Wire[phit.Phit]
+	out []*sim.Wire[phit.Phit]
 }
 
 // NewComponent wraps a new Core for the engine. Inputs and outputs are
@@ -221,22 +250,21 @@ type Component struct {
 // unconnected output panics — it means a route leaves the network).
 func NewComponent(name string, arity int, layout phit.HeaderLayout, clk *clock.Clock) *Component {
 	return &Component{
-		core:    NewCore(name, arity, layout),
-		clk:     clk,
-		in:      make([]Source, arity),
-		out:     make([]Sink, arity),
-		sampled: make([]phit.Phit, arity),
+		core: NewCore(name, arity, layout),
+		clk:  clk,
+		in:   make([]*sim.Wire[phit.Phit], arity),
+		out:  make([]*sim.Wire[phit.Phit], arity),
 	}
 }
 
 // Core exposes the underlying state machine (used by tests and tools).
 func (r *Component) Core() *Core { return r.core }
 
-// ConnectIn attaches a source to input port i.
-func (r *Component) ConnectIn(i int, s Source) { r.in[i] = s }
+// ConnectIn attaches the wire feeding input port i.
+func (r *Component) ConnectIn(i int, w *sim.Wire[phit.Phit]) { r.in[i] = w }
 
-// ConnectOut attaches a sink to output port i.
-func (r *Component) ConnectOut(i int, s Sink) { r.out[i] = s }
+// ConnectOut attaches the wire output port i drives.
+func (r *Component) ConnectOut(i int, w *sim.Wire[phit.Phit]) { r.out[i] = w }
 
 // Name implements sim.Component.
 func (r *Component) Name() string { return r.core.name }
@@ -250,30 +278,37 @@ func (r *Component) SetReporter(rep fault.Reporter) { r.core.SetReporter(rep) }
 // SetTracer installs the wrapped core's lifecycle-event emitter.
 func (r *Component) SetTracer(e *trace.Emitter) { r.core.SetTracer(e) }
 
-// Sample implements sim.Component.
-func (r *Component) Sample(now clock.Time) {
-	for i, s := range r.in {
-		if s == nil {
-			r.sampled[i] = phit.IdlePhit
+// Update implements sim.Component. An output wire is driven only when
+// the drive can change what it shows: when the switch puts a valid phit
+// on it, when the wire still shows a valid phit that must now go idle, or
+// when a fault intercept observes every commit of the wire. Otherwise the
+// wire already reads idle and keeps doing so undriven.
+func (r *Component) Update(now clock.Time) {
+	c := r.core
+	c.now = now
+	c.advance()
+	for i, w := range r.in {
+		if w != nil && w.Read().Valid {
+			c.reg1[i] = w.Read()
 		} else {
-			r.sampled[i] = s.Read()
+			c.reg1[i].Valid = false
 		}
 	}
-}
-
-// Update implements sim.Component.
-func (r *Component) Update(now clock.Time) {
-	r.core.SetNow(now)
-	r.outBuf = r.core.Step(r.sampled, r.outBuf)
-	for i, s := range r.out {
-		if s != nil {
-			s.Drive(r.outBuf[i])
-		} else if r.outBuf[i].Valid {
-			fault.Report(r.core.rep, fault.Violation{
-				Kind: fault.RouteError, Component: "router " + r.core.name, Time: now, Slot: fault.NoSlot,
-				Detail: fmt.Sprintf("valid phit for unconnected output %d (conn %d), phit dropped",
-					i, r.outBuf[i].Meta.Conn),
-			})
+	for o, w := range r.out {
+		p := &c.out[o]
+		switch {
+		case w == nil:
+			if p.Valid {
+				fault.Report(c.rep, fault.Violation{
+					Kind: fault.RouteError, Component: "router " + c.name, Time: now, Slot: fault.NoSlot,
+					Detail: fmt.Sprintf("valid phit for unconnected output %d (conn %d), phit dropped",
+						o, p.Meta.Conn),
+				})
+			}
+		case p.Valid:
+			w.Drive(*p)
+		case w.Read().Valid || w.HasIntercept():
+			w.Drive(phit.IdlePhit)
 		}
 	}
 }

@@ -16,11 +16,10 @@ type Component interface {
 	Name() string
 	// Clock returns the clock domain driving this component.
 	Clock() *clock.Clock
-	// Sample is called first at each rising edge of the component's
-	// clock; the component must read all its inputs here.
-	Sample(now clock.Time)
-	// Update is called after every due component has sampled; the
-	// component computes its next state and drives its outputs.
+	// Update is called at each rising edge of the component's clock: the
+	// component reads its input wires, computes its next state and drives
+	// its outputs. Every wire still holds the value committed before this
+	// instant, whatever the order due components update in.
 	Update(now clock.Time)
 }
 
@@ -142,9 +141,9 @@ type timerEntry struct {
 func New() *Engine { return &Engine{} }
 
 // Add registers a component with the engine. Components execute in the
-// order they were added when their edges coincide; the two-phase schedule
-// makes the result independent of that order, but keeping it fixed makes
-// traces stable.
+// order they were added when their edges coincide; the update-then-commit
+// schedule makes the result independent of that order, but keeping it
+// fixed makes traces stable.
 func (e *Engine) Add(c Component) {
 	if c.Clock() == nil {
 		panic(fmt.Sprintf("sim: component %q has no clock", c.Name()))
@@ -438,9 +437,6 @@ func (e *Engine) Run(until clock.Time) int {
 			}
 			e.due = due
 			slices.SortFunc(due, func(a, b indexedComp) int { return a.idx - b.idx })
-		}
-		for _, c := range due {
-			c.c.Sample(next)
 		}
 		for _, c := range due {
 			c.c.Update(next)

@@ -7,29 +7,27 @@ import (
 	"repro/internal/trace"
 )
 
-// counter is a minimal component: it samples an input wire, adds one, and
+// counter is a minimal component: it reads an input wire, adds one, and
 // drives an output wire.
 type counter struct {
 	name     string
 	clk      *clock.Clock
 	in, out  *Wire[int]
-	sampled  int
 	updates  int
 	lastTime clock.Time
 }
 
 func (c *counter) Name() string        { return c.name }
 func (c *counter) Clock() *clock.Clock { return c.clk }
-func (c *counter) Sample(now clock.Time) {
-	if c.in != nil {
-		c.sampled = c.in.Read()
-	}
-}
 func (c *counter) Update(now clock.Time) {
 	c.updates++
 	c.lastTime = now
+	v := 0
+	if c.in != nil {
+		v = c.in.Read()
+	}
 	if c.out != nil {
-		c.out.Drive(c.sampled + 1)
+		c.out.Drive(v + 1)
 	}
 }
 
@@ -66,12 +64,12 @@ func TestRegisterSemantics(t *testing.T) {
 	eng.Add(a)
 	eng.Add(b)
 	eng.Run(1000) // one edge
-	// a drove 1 into w1; b sampled the OLD w1 (0) and drove 1 into w2.
+	// a drove 1 into w1; b read the OLD w1 (0) and drove 1 into w2.
 	if got := w1.Read(); got != 1 {
 		t.Errorf("w1 = %d, want 1", got)
 	}
 	if got := w2.Read(); got != 1 {
-		t.Errorf("w2 = %d, want 1 (sampled zero + 1)", got)
+		t.Errorf("w2 = %d, want 1 (read zero + 1)", got)
 	}
 	eng.Run(2000)
 	if got := w2.Read(); got != 2 {
@@ -79,8 +77,8 @@ func TestRegisterSemantics(t *testing.T) {
 	}
 }
 
-// TestOrderIndependence: with two-phase execution, registration order of
-// same-clock components does not change results.
+// TestOrderIndependence: with update-then-commit execution, the
+// registration order of same-clock components does not change results.
 func TestOrderIndependence(t *testing.T) {
 	run := func(swap bool) int {
 		eng := New()
@@ -103,6 +101,65 @@ func TestOrderIndependence(t *testing.T) {
 	}
 	if x, y := run(false), run(true); x != y {
 		t.Errorf("order-dependent result: %d vs %d", x, y)
+	}
+}
+
+// edgeWriter drives its own edge number (1, 2, 3, ...) at every edge.
+type edgeWriter struct {
+	clk *clock.Clock
+	out *Wire[int]
+	n   int
+}
+
+func (w *edgeWriter) Name() string        { return "writer" }
+func (w *edgeWriter) Clock() *clock.Clock { return w.clk }
+func (w *edgeWriter) Update(now clock.Time) {
+	w.n++
+	w.out.Drive(w.n)
+}
+
+// edgeReader records what it reads from a wire at every edge.
+type edgeReader struct {
+	clk  *clock.Clock
+	in   *Wire[int]
+	seen []int
+}
+
+func (r *edgeReader) Name() string          { return "reader" }
+func (r *edgeReader) Clock() *clock.Clock   { return r.clk }
+func (r *edgeReader) Update(now clock.Time) { r.seen = append(r.seen, r.in.Read()) }
+
+// TestReadSeesPreviousEdgeOnly pins the register semantics a reader's
+// Update relies on: a value driven at edge t is read at edge t+1 and never
+// at edge t itself, whether the reader updates before or after the writer
+// within the instant.
+func TestReadSeesPreviousEdgeOnly(t *testing.T) {
+	for _, readerFirst := range []bool{false, true} {
+		eng := New()
+		clk := clock.New("c", 1000, 0)
+		w := NewWire[int]("w")
+		eng.AddWireClocked(w, clk)
+		wr := &edgeWriter{clk: clk, out: w}
+		rd := &edgeReader{clk: clk, in: w}
+		if readerFirst {
+			eng.Add(rd)
+			eng.Add(wr)
+		} else {
+			eng.Add(wr)
+			eng.Add(rd)
+		}
+		eng.Run(6000)
+		// Edge k reads the value driven at edge k-1: 0 (never driven)
+		// at the first edge, then 1, 2, ...
+		want := []int{0, 1, 2, 3, 4, 5}
+		if len(rd.seen) != len(want) {
+			t.Fatalf("readerFirst=%v: %d reads, want %d", readerFirst, len(rd.seen), len(want))
+		}
+		for i, v := range rd.seen {
+			if v != want[i] {
+				t.Errorf("readerFirst=%v: edge %d read %d, want %d", readerFirst, i+1, v, want[i])
+			}
+		}
 	}
 }
 
@@ -238,9 +295,8 @@ type oneShotDriver struct {
 	armed bool
 }
 
-func (d *oneShotDriver) Name() string          { return "oneshot" }
-func (d *oneShotDriver) Clock() *clock.Clock   { return d.clk }
-func (d *oneShotDriver) Sample(now clock.Time) {}
+func (d *oneShotDriver) Name() string        { return "oneshot" }
+func (d *oneShotDriver) Clock() *clock.Clock { return d.clk }
 func (d *oneShotDriver) Update(now clock.Time) {
 	if d.armed {
 		d.armed = false

@@ -8,7 +8,7 @@ import (
 
 // A Wire carries a value of type T between two components in the same
 // clock domain with register-transfer semantics: a value driven during
-// Update at instant t becomes visible to Sample at instants > t.
+// Update at instant t becomes visible to Updates at instants > t.
 //
 // Wires must be registered with Engine.AddWire so their drives commit at
 // the end of each instant.
@@ -33,7 +33,7 @@ func NewWire[T any](name string) *Wire[T] { return &Wire[T]{name: name} }
 func (w *Wire[T]) Name() string { return w.name }
 
 // Read returns the currently committed value. Components call this during
-// Sample.
+// Update; it never reflects a drive of the current instant.
 func (w *Wire[T]) Read() T { return w.cur }
 
 // Drive buffers a new value; it becomes visible after the commit phase of

@@ -45,7 +45,11 @@ type Generator struct {
 	start clock.Time
 
 	disabled bool
+	// phase counts on/off cycles since construction; pos is phase
+	// modulo onCycles+offCycles, kept wrapped so the per-cycle on/off
+	// test needs no division. ReplayShift and SetRateMBps re-derive it.
 	phase    int64
+	pos      int64
 	offered  int64 // words accepted into the NI FIFO
 	rejected int64 // blocked-write retries (full FIFO)
 	seq      int64
@@ -119,9 +123,6 @@ func (g *Generator) Name() string { return g.name }
 // Clock implements sim.Component.
 func (g *Generator) Clock() *clock.Clock { return g.clk }
 
-// Sample implements sim.Component.
-func (g *Generator) Sample(now clock.Time) {}
-
 // Update implements sim.Component.
 func (g *Generator) Update(now clock.Time) {
 	if g.disabled || now < g.start {
@@ -129,13 +130,15 @@ func (g *Generator) Update(now clock.Time) {
 	}
 	num := g.rateNum
 	if g.onCycles > 0 {
-		period := g.onCycles + g.offCycles
-		if g.phase%period >= g.onCycles {
+		if g.pos >= g.onCycles {
 			num = 0
 		} else {
 			num = g.burstNum
 		}
 		g.phase++
+		if g.pos++; g.pos == g.onCycles+g.offCycles {
+			g.pos = 0
+		}
 	}
 	g.accNum += num
 	for g.accNum >= g.rateDen {
@@ -195,17 +198,21 @@ func (g *Generator) SetRateMBps(rateMBps float64, wordBytes int) {
 		g.accNum = int64(float64(g.accNum) / float64(oldDen) * float64(g.rateDen))
 	}
 	if g.onCycles > 0 {
-		if g.rateNum >= g.rateDen {
-			g.offCycles = 0
-			g.burstNum = g.rateDen
-			return
-		}
-		off := g.onCycles*g.rateDen/g.rateNum - g.onCycles
-		if off < 0 {
-			off = 0
+		off := int64(0)
+		if g.rateNum < g.rateDen {
+			off = max(g.onCycles*g.rateDen/g.rateNum-g.onCycles, 0)
 		}
 		g.offCycles = off
 		g.burstNum = g.rateDen
+		g.rewrap()
+	}
+}
+
+// rewrap re-derives the wrapped burst position from the cycle count after
+// the on/off period or the count itself changed.
+func (g *Generator) rewrap() {
+	if g.onCycles > 0 {
+		g.pos = g.phase % (g.onCycles + g.offCycles)
 	}
 }
 
@@ -255,11 +262,7 @@ func (g *Generator) ReplayMark(now clock.Time) bool {
 // ReplayFingerprint implements replay.Periodic.
 func (g *Generator) ReplayFingerprint(ctx *replay.Ctx, buf []byte) []byte {
 	buf = replay.AppendI64(buf, g.accNum)
-	var ph int64
-	if g.onCycles > 0 {
-		ph = g.phase % (g.onCycles + g.offCycles)
-	}
-	buf = replay.AppendI64(buf, ph)
+	buf = replay.AppendI64(buf, g.pos)
 	var pend int64
 	if ctx.Now < g.start {
 		pend = int64(g.start - ctx.Now)
@@ -278,6 +281,7 @@ func (g *Generator) ReplayShift(s *replay.Shift) {
 	g.rejected += s.Epochs * g.rm.dRejected
 	g.seq += s.Epochs * g.rm.dSeq
 	g.phase += s.Epochs * g.rm.dPhase
+	g.rewrap()
 	g.rm.valid = false
 }
 

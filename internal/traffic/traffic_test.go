@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/phit"
+	"repro/internal/replay"
 	"repro/internal/sim"
 )
 
@@ -187,4 +188,37 @@ func TestGeneratorPanics(t *testing.T) {
 			f()
 		}()
 	}
+}
+
+// TestBurstPositionTracksPhase: the wrapped burst position must always
+// equal the cycle count modulo the on/off period — across plain cycles, a
+// rate change that resizes the period mid-burst, and a replay shift that
+// advances the count by whole epochs.
+func TestBurstPositionTracksPhase(t *testing.T) {
+	clk := clock.NewMHz("clk", 500, 0)
+	g := NewTransactional("g", clk, &acceptPort{}, 1, 100, 4, 16, 0)
+	eng := sim.New()
+	eng.Add(g)
+	check := func(when string) {
+		t.Helper()
+		if want := g.phase % (g.onCycles + g.offCycles); g.pos != want {
+			t.Fatalf("%s: pos %d, want phase %d mod %d = %d",
+				when, g.pos, g.phase, g.onCycles+g.offCycles, want)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		run(t, g, eng, 1)
+		check("cycle")
+	}
+	g.SetRateMBps(333, 4) // shorter period, position mid-burst
+	check("after SetRateMBps")
+	run(t, g, eng, 77)
+	check("after rate change")
+	g.ReplayMark(eng.Now())
+	run(t, g, eng, 45)
+	g.ReplayMark(eng.Now())
+	g.ReplayShift(&replay.Shift{Epochs: 1000, DSeq: func(phit.ConnID) int64 { return 0 }})
+	check("after ReplayShift")
+	run(t, g, eng, 30)
+	check("after shift")
 }
