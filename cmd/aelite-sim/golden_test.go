@@ -25,7 +25,9 @@ type goldenCase struct {
 // JSON and Chrome trace must never drift: every clocking mode under plain,
 // transactional, probed+audited, fast-replay and fault-campaign runs, the
 // reliability shell with rate faults and a reconfiguration script in the
-// two clocked modes, and the two other backends.
+// two clocked modes, a skewed mesochronous campaign, a -runs campaign
+// sweep, a generated 8x8 scenario (wide header layout), and the two other
+// backends plus the "be" alias with its verdict-only output.
 func goldenMatrix() []goldenCase {
 	var cs []goldenCase
 	for _, mode := range []string{"synchronous", "mesochronous", "asynchronous"} {
@@ -56,6 +58,12 @@ func goldenMatrix() []goldenCase {
 	cs = append(cs,
 		goldenCase{"synchronous/aethereal", func(o *options) { o.backend = "aethereal" }},
 		goldenCase{"synchronous/routerless", func(o *options) { o.backend = "routerless" }},
+		goldenCase{"synchronous/be", func(o *options) { o.backend = "be" }},
+		goldenCase{"mesochronous/skew-900", func(o *options) { o.mode, o.skewPS = "mesochronous", 900 }},
+		goldenCase{"synchronous/scenario-8x8", func(o *options) {
+			o.random, o.scenario, o.conns, o.cols, o.rows = 0, "uniform", 40, 8, 8
+		}},
+		goldenCase{"synchronous/runs-sweep", func(o *options) { o.runs, o.jobs, o.faults = 3, 2, "random:3" }},
 	)
 	return cs
 }
@@ -78,8 +86,13 @@ func runGolden(t *testing.T, c goldenCase) []string {
 	dir := t.TempDir()
 	o := goldenOptions()
 	c.set(&o)
-	o.traceOut = filepath.Join(dir, "trace.json")
-	o.metricsOut = filepath.Join(dir, "metrics.json")
+	// A -runs sweep writes no trace or metrics file; only its stdout is
+	// digested.
+	sweep := o.runs > 1
+	if !sweep {
+		o.traceOut = filepath.Join(dir, "trace.json")
+		o.metricsOut = filepath.Join(dir, "metrics.json")
+	}
 	if err := o.validate(); err != nil {
 		t.Fatalf("%s: %v", c.name, err)
 	}
@@ -96,9 +109,13 @@ func runGolden(t *testing.T, c goldenCase) []string {
 		t.Fatal(err)
 	}
 	lines := []string{fmt.Sprintf("%s exit %d", c.name, code)}
-	for _, a := range []struct{ stream, path string }{
+	streams := []struct{ stream, path string }{
 		{"stdout", stdoutPath}, {"metrics", o.metricsOut}, {"trace", o.traceOut},
-	} {
+	}
+	if sweep {
+		streams = streams[:1]
+	}
+	for _, a := range streams {
 		b, err := os.ReadFile(a.path)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
