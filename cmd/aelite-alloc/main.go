@@ -22,7 +22,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -30,70 +29,46 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/phit"
 	"repro/internal/routerless"
-	"repro/internal/scenario"
 	"repro/internal/slots"
-	"repro/internal/spec"
 	"repro/internal/topology"
 )
 
 // tool names this command in every cli diagnostic.
 const tool = "aelite-alloc"
 
-// layoutFor picks the header layout the mesh diameter needs: the worst
-// minimal route visits cols+rows-1 routers. The paper's 32-bit layout
-// encodes 7 hops; the 64-bit WideLayout (8-byte words) 16. Beyond that
-// no runnable header exists — allocation-only planning (aelite-exp
-// scale) is the tool at that size.
-func layoutFor(cols, rows int) (phit.HeaderLayout, int, error) {
-	ports := cols + rows - 1
-	switch {
-	case ports <= phit.DefaultLayout.MaxHops():
-		return phit.DefaultLayout, 4, nil
-	case ports <= phit.WideLayout.MaxHops():
-		return phit.WideLayout, 8, nil
-	}
-	return phit.HeaderLayout{}, 0, fmt.Errorf(
-		"a %dx%d mesh needs %d-hop headers; the widest layout encodes %d (allocation-only planning via aelite-exp scale has no such cap)",
-		cols, rows, ports, phit.WideLayout.MaxHops())
-}
-
 func main() {
-	specPath := flag.String("spec", "", "use-case JSON (see internal/spec)")
-	random := flag.Int("random", 0, "generate this many random connections instead of loading a spec")
-	seed := flag.Int64("seed", 1, "seed for -random/-scenario")
-	cols := flag.Int("cols", 4, "mesh columns")
-	rows := flag.Int("rows", 3, "mesh rows")
-	nis := flag.Int("nis", 4, "NIs per router")
-	freq := flag.Float64("freq", 500, "frequency in MHz")
-	table := flag.Int("table", 0, "TDM table size (0 = search)")
+	var w cli.Workload
+	flag.StringVar(&w.SpecPath, "spec", "", "use-case JSON (see internal/spec)")
+	flag.IntVar(&w.Random, "random", 0, "generate this many random connections instead of loading a spec")
+	flag.Int64Var(&w.Seed, "seed", 1, "seed for -random/-scenario")
+	flag.IntVar(&w.Cols, "cols", 4, "mesh columns")
+	flag.IntVar(&w.Rows, "rows", 3, "mesh rows")
+	flag.IntVar(&w.NIs, "nis", 4, "NIs per router")
+	flag.Float64Var(&w.FreqMHz, "freq", 500, "frequency in MHz")
+	flag.IntVar(&w.TableSize, "table", 0, "TDM table size (0 = search)")
 	mode := flag.String("mode", "synchronous", "clocking: synchronous|mesochronous|asynchronous")
 	alloc := flag.String("alloc", "greedy", "slot allocator: greedy | ripup")
-	scenarioF := flag.String("scenario", "", "generated workload family: uniform|hotspot|transpose|multimedia|dataflow")
-	conns := flag.Int("conns", 0, "connection count for -scenario")
+	flag.StringVar(&w.Scenario, "scenario", "", "generated workload family: uniform|hotspot|transpose|multimedia|dataflow")
+	flag.IntVar(&w.Conns, "conns", 0, "connection count for -scenario")
 	printTables := flag.Bool("tables", false, "print per-NI slot tables")
 	backendF := flag.String("backend", "aelite", "aelite | routerless (ring/slot allocation instead of TDM tables)")
 	flag.Parse()
 
 	// Malformed invocations are rejected up front with one-line
 	// diagnostics and exit code 2, matching aelite-sim's contract.
-	if *cols < 1 || *rows < 1 || *nis < 1 {
-		os.Exit(cli.Usage(tool, fmt.Errorf("mesh dimensions must be at least 1 (-cols %d -rows %d -nis %d)", *cols, *rows, *nis)))
+	if err := w.Validate(); err != nil {
+		os.Exit(cli.Usage(tool, err))
 	}
-	if *freq <= 0 {
-		os.Exit(cli.Usage(tool, fmt.Errorf("-freq %g must be positive", *freq)))
-	}
-	if *table < 0 {
-		os.Exit(cli.Usage(tool, fmt.Errorf("-table %d must not be negative (0 = search)", *table)))
+	if w.TableSize < 0 {
+		os.Exit(cli.Usage(tool, fmt.Errorf("-table %d must not be negative (0 = search)", w.TableSize)))
 	}
 	if _, err := slots.ByName(*alloc); err != nil {
 		os.Exit(cli.Usage(tool, fmt.Errorf("-alloc: %w", err)))
 	}
-	switch *mode {
-	case "synchronous", "mesochronous", "asynchronous":
-	default:
-		os.Exit(cli.Usage(tool, fmt.Errorf("unknown mode %q (synchronous | mesochronous | asynchronous)", *mode)))
+	clocking, err := core.ParseMode(*mode)
+	if err != nil {
+		os.Exit(cli.Usage(tool, err))
 	}
 	switch *backendF {
 	case "aelite", "routerless":
@@ -102,71 +77,20 @@ func main() {
 		// best-effort baseline has no reservations to print.
 		os.Exit(cli.Usage(tool, fmt.Errorf("unknown backend %q (aelite | routerless)", *backendF)))
 	}
-	if *backendF == "routerless" && *mode != "synchronous" {
+	if *backendF == "routerless" && clocking != core.Synchronous {
 		os.Exit(cli.Usage(tool, fmt.Errorf("-backend routerless is single-clock; -mode %s needs the aelite backend", *mode)))
 	}
-	if *scenarioF != "" {
-		if _, err := scenario.ParseFamily(*scenarioF); err != nil {
-			os.Exit(cli.Usage(tool, fmt.Errorf("-scenario: %w", err)))
-		}
-		if *specPath != "" || *random > 0 {
-			os.Exit(cli.Usage(tool, errors.New("-scenario excludes -spec and -random")))
-		}
-		if *conns < 1 {
-			os.Exit(cli.Usage(tool, fmt.Errorf("-scenario needs -conns >= 1 (got %d)", *conns)))
-		}
-	} else if *conns != 0 {
-		os.Exit(cli.Usage(tool, errors.New("-conns applies only with -scenario")))
-	}
-	if *specPath == "" && *random <= 0 && *scenarioF == "" {
-		os.Exit(cli.Usage(tool, errors.New("need -spec, -random or -scenario")))
-	}
 
-	m := topology.NewMesh(*cols, *rows, *nis)
-	layout, wordBytes, err := layoutFor(*cols, *rows)
+	m, uc, err := w.Build()
 	fatal(err)
-	var uc *spec.UseCase
-	switch {
-	case *scenarioF != "":
-		fam, err := scenario.ParseFamily(*scenarioF)
-		fatal(err)
-		cfg := scenario.Default(fam, *cols, *rows, *conns, *seed)
-		cfg.NIsPerRouter = *nis
-		cfg.FreqMHz = *freq
-		cfg.WordBytes = wordBytes
-		if *table != 0 {
-			cfg.TableSize = *table
-		}
-		s, err := scenario.Generate(cfg)
-		fatal(err)
-		uc = s.UseCase
-	case *specPath != "":
-		uc, err = spec.Load(*specPath)
-		fatal(err)
-	default:
-		uc = spec.Random(spec.RandomConfig{
-			Name: "random", Seed: *seed,
-			IPs: 2 * *cols * *rows * *nis / 2, Apps: 4, Conns: *random,
-			MinRateMBps: 10, MaxRateMBps: 300, HeavyFraction: 0.1, HeavyMinRateMBps: 40,
-			MinLatencyNs: 150, MaxLatencyNs: 900,
-		})
-	}
-	needMap := false
-	for _, ip := range uc.IPs {
-		if ip.NI == topology.Invalid {
-			needMap = true
-		}
-	}
-	if needMap {
-		spec.MapIPsByTraffic(uc, m)
-	}
 
+	// Both builders pick the header layout and word width from the mesh.
 	if *backendF == "routerless" {
-		n, err := routerless.Build(m, uc, routerless.Config{FreqMHz: *freq, WordBytes: wordBytes})
+		n, err := routerless.Build(m, uc, routerless.Config{FreqMHz: w.FreqMHz})
 		fatal(err)
 		fmt.Printf("use case %q: %d IPs, %d connections on a %dx%d mesh (%d NIs/router)\n",
-			uc.Name, len(uc.IPs), len(uc.Connections), *cols, *rows, *nis)
-		fmt.Printf("routerless ring overlay, %.0f MHz, %d rings\n\n", *freq, n.Rings())
+			uc.Name, len(uc.IPs), len(uc.Connections), w.Cols, w.Rows, w.NIs)
+		fmt.Printf("routerless ring overlay, %.0f MHz, %d rings\n\n", w.FreqMHz, n.Rings())
 		fmt.Printf("%6s %9s %9s %9s %6s %5s\n", "conn", "reqMB/s", "gntMB/s", "boundNs", "slots", "hops")
 		for _, c := range uc.Connections {
 			info, err := n.Info(c.ID)
@@ -180,22 +104,14 @@ func main() {
 		return
 	}
 
-	cfg := core.Config{FreqMHz: *freq, TableSize: *table, Allocator: *alloc,
-		Layout: layout, WordBytes: wordBytes}
-	switch *mode {
-	case "synchronous":
-	case "mesochronous":
-		cfg.Mode = core.Mesochronous
-	case "asynchronous":
-		cfg.Mode = core.Asynchronous
-	}
+	cfg := core.Config{FreqMHz: w.FreqMHz, TableSize: w.TableSize, Allocator: *alloc, Mode: clocking}
 	core.PrepareTopology(m, cfg)
 	n, err := core.Build(m, uc, cfg)
 	fatal(err)
 
 	fmt.Printf("use case %q: %d IPs, %d connections on a %dx%d mesh (%d NIs/router)\n",
-		uc.Name, len(uc.IPs), len(uc.Connections), *cols, *rows, *nis)
-	fmt.Printf("mode %s, %.0f MHz, slot table %d, allocator %s\n\n", cfg.Mode, *freq, n.Cfg.TableSize, *alloc)
+		uc.Name, len(uc.IPs), len(uc.Connections), w.Cols, w.Rows, w.NIs)
+	fmt.Printf("mode %s, %.0f MHz, slot table %d, allocator %s\n\n", cfg.Mode, w.FreqMHz, n.Cfg.TableSize, *alloc)
 
 	fmt.Printf("%6s %9s %9s %9s %6s %5s %8s\n", "conn", "reqMB/s", "gntMB/s", "boundNs", "slots", "hops", "recvCap")
 	for _, c := range uc.Connections {

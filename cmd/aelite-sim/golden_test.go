@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/cli"
 )
 
 // goldenPath holds one SHA-256 digest per (case, artifact) pair of the
@@ -61,7 +63,7 @@ func goldenMatrix() []goldenCase {
 		goldenCase{"synchronous/be", func(o *options) { o.backend = "be" }},
 		goldenCase{"mesochronous/skew-900", func(o *options) { o.mode, o.skewPS = "mesochronous", 900 }},
 		goldenCase{"synchronous/scenario-8x8", func(o *options) {
-			o.random, o.scenario, o.conns, o.cols, o.rows = 0, "uniform", 40, 8, 8
+			o.Random, o.Scenario, o.Conns, o.Cols, o.Rows = 0, "uniform", 40, 8, 8
 		}},
 		goldenCase{"synchronous/runs-sweep", func(o *options) { o.runs, o.jobs, o.faults = 3, 2, "random:3" }},
 	)
@@ -72,8 +74,8 @@ func goldenMatrix() []goldenCase {
 // workload: 20 random connections on the default 4x3 mesh.
 func goldenOptions() options {
 	return options{
-		random: 20, seed: 1, cols: 4, rows: 3, nis: 4,
-		backend: "aelite", mode: "synchronous", freq: 500,
+		Workload: cli.Workload{Random: 20, Seed: 1, Cols: 4, Rows: 3, NIs: 4, FreqMHz: 500},
+		backend:  "aelite", mode: "synchronous",
 		warmup: 2000, measure: 10000,
 		faultSeed: 1, runs: 1, jobs: 1, alloc: "greedy",
 	}

@@ -1,8 +1,8 @@
 // Command aelite-sim runs a use case through the cycle-accurate simulator
 // — the aelite guaranteed-service network (synchronous, mesochronous or
 // asynchronous), the Æthereal best-effort baseline, or the routerless
-// ring-overlay fabric — and prints the per-connection report. Non-aelite
-// backends are built through the internal/backend registry.
+// ring-overlay fabric — and prints the per-connection report. Every
+// backend is built and run through the internal/backend seam.
 //
 // Usage:
 //
@@ -16,7 +16,8 @@
 //	               multimedia | dataflow (internal/scenario; deterministic in
 //	               -seed, rates replay-admissible by default)
 //	-conns N       connection count for -scenario
-//	-alloc A       slot allocator: greedy | ripup (default greedy)
+//	-alloc A       slot allocator: greedy | ripup (default greedy; ripup
+//	               aelite only)
 //	-backend B     aelite | aethereal (alias: be) | routerless
 //	-mode M        synchronous | mesochronous | asynchronous (aelite only)
 //	-freq MHZ      network frequency (default 500)
@@ -25,6 +26,7 @@
 //	-tx            transactional traffic (line-rate bursts) instead of CBR
 //	-probes        enable dynamic TDM verification probes (aelite only)
 //	-faults SPEC   fault campaign: op@TIMEns:target[:param];... or random:N
+//	               (aelite only)
 //	-fault-seed N  seed for random fault events (same seed, same campaign)
 //	-reliable      wrap every NI port in the end-to-end reliability shell:
 //	               CRC-protected flits, go-back-N retransmission and link
@@ -75,19 +77,19 @@
 // followed by the deterministic campaign summary. Any fatal envelope
 // violation (strict mode) or internal failure exits non-zero with a
 // one-line diagnostic instead of a raw panic trace; invalid flag
-// combinations are rejected up front with exit code 2.
+// combinations — among them every aelite-only flag given with another
+// backend — are rejected up front with exit code 2.
 package main
 
 import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
-
-	"errors"
 
 	"repro/internal/audit"
 	"repro/internal/backend"
@@ -97,23 +99,15 @@ import (
 	"repro/internal/fault"
 	"repro/internal/parallel"
 	"repro/internal/phit"
-	"repro/internal/scenario"
 	"repro/internal/slots"
-	"repro/internal/spec"
-	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
 type options struct {
-	specPath  string
-	random    int
-	seed      int64
-	cols      int
-	rows      int
-	nis       int
+	cli.Workload
+
 	backend   string
 	mode      string
-	freq      float64
 	warmup    float64
 	measure   float64
 	tx        bool
@@ -130,13 +124,14 @@ type options struct {
 	audit     bool
 	reconfig  string
 	fast      bool
-	scenario  string
-	conns     int
 	alloc     string
 
 	traceOut   string
 	metricsOut string
 	pprofOut   string
+
+	// clocking is -mode resolved by validate.
+	clocking core.Mode
 }
 
 // rateFaults reports whether a seeded rate process is armed.
@@ -168,34 +163,16 @@ func (o *options) faultPlan(faultSeed int64) (*fault.Plan, error) {
 	return plan, nil
 }
 
-// validate rejects malformed flag combinations before anything is built,
-// so every misuse gets a one-line diagnostic and exit code 2 instead of a
-// late panic or a silently ignored value.
+// validate rejects malformed flag combinations before anything is built
+// or any output file is created, so every misuse gets a one-line
+// diagnostic and exit code 2 instead of a late failure or a silently
+// ignored value. It also resolves -mode.
 func (o *options) validate() error {
-	if o.cols < 1 || o.rows < 1 || o.nis < 1 {
-		return fmt.Errorf("mesh dimensions must be at least 1 (-cols %d -rows %d -nis %d)", o.cols, o.rows, o.nis)
-	}
-	if o.freq <= 0 {
-		return fmt.Errorf("-freq %g must be positive", o.freq)
+	if err := o.Workload.Validate(); err != nil {
+		return err
 	}
 	if o.warmup < 0 || o.measure <= 0 {
 		return fmt.Errorf("-warmup %g must be >= 0 and -measure %g > 0", o.warmup, o.measure)
-	}
-	if o.random < 0 {
-		return fmt.Errorf("-random %d must be positive", o.random)
-	}
-	if o.scenario != "" {
-		if _, err := scenario.ParseFamily(o.scenario); err != nil {
-			return fmt.Errorf("-scenario: %w", err)
-		}
-		if o.specPath != "" || o.random > 0 {
-			return fmt.Errorf("-scenario excludes -spec and -random")
-		}
-		if o.conns < 1 {
-			return fmt.Errorf("-scenario needs -conns >= 1 (got %d)", o.conns)
-		}
-	} else if o.conns != 0 {
-		return fmt.Errorf("-conns applies only with -scenario")
 	}
 	if _, err := slots.ByName(o.alloc); err != nil {
 		return fmt.Errorf("-alloc: %w", err)
@@ -203,18 +180,17 @@ func (o *options) validate() error {
 	if _, err := backend.ByName(o.canonicalBackend()); err != nil {
 		return fmt.Errorf("-backend: %w", err)
 	}
-	if o.backend != "aelite" && o.mode != "synchronous" {
-		return fmt.Errorf("-backend %s is single-clock; -mode %s needs the aelite backend", o.backend, o.mode)
+	var err error
+	if o.clocking, err = core.ParseMode(o.mode); err != nil {
+		return err
 	}
-	switch o.mode {
-	case "synchronous", "mesochronous", "asynchronous":
-	default:
-		return fmt.Errorf("unknown mode %q (synchronous | mesochronous | asynchronous)", o.mode)
+	if o.backend != "aelite" && o.clocking != core.Synchronous {
+		return fmt.Errorf("-backend %s is single-clock; -mode %s needs the aelite backend", o.backend, o.mode)
 	}
 	if o.skewPS < 0 {
 		return fmt.Errorf("-skew-ps %d is negative; skew is a magnitude in picoseconds", o.skewPS)
 	}
-	if o.skewPS != 0 && o.mode != "mesochronous" {
+	if o.skewPS != 0 && o.clocking != core.Mesochronous {
 		return fmt.Errorf("-skew-ps applies only to -mode mesochronous (got %q)", o.mode)
 	}
 	if o.faults != "" {
@@ -225,8 +201,22 @@ func (o *options) validate() error {
 	if err := (fault.RateRule{BitFlip: o.bitflip, Drop: o.drop}).Validate(); err != nil {
 		return fmt.Errorf("-bitflip-rate/-drop-rate: %w", err)
 	}
-	if (o.reliable || o.rateFaults()) && o.backend != "aelite" {
-		return fmt.Errorf("-reliable/-bitflip-rate/-drop-rate need the aelite backend (got %q)", o.backend)
+	if o.backend != "aelite" {
+		for _, f := range []struct {
+			set  bool
+			flag string
+		}{
+			{o.reliable || o.rateFaults(), "-reliable/-bitflip-rate/-drop-rate need"},
+			{o.faults != "", "-faults needs"},
+			{o.probes, "-probes needs"},
+			{o.fast, "-fast needs"},
+			{o.alloc != "greedy", "-alloc " + o.alloc + " needs"},
+			{o.reconfig != "", "-reconfig needs"},
+		} {
+			if f.set {
+				return fmt.Errorf("%s the aelite backend (got %q)", f.flag, o.backend)
+			}
+		}
 	}
 	if o.audit {
 		// Every backend emits the traced flit lifecycle, but only
@@ -246,10 +236,7 @@ func (o *options) validate() error {
 		return fmt.Errorf("-j %d must be at least 1", o.jobs)
 	}
 	if o.reconfig != "" {
-		if o.backend != "aelite" {
-			return fmt.Errorf("-reconfig needs the aelite backend (got %q)", o.backend)
-		}
-		if o.mode == "asynchronous" {
+		if o.clocking == core.Asynchronous {
 			return fmt.Errorf("-reconfig cannot serve asynchronous mode (slot counters are token-indexed)")
 		}
 		if o.runs > 1 {
@@ -272,18 +259,18 @@ func (o *options) validate() error {
 
 func main() {
 	var o options
-	flag.StringVar(&o.specPath, "spec", "", "use-case JSON")
-	flag.IntVar(&o.random, "random", 0, "generate this many random connections")
-	flag.StringVar(&o.scenario, "scenario", "", "generated workload family: uniform|hotspot|transpose|multimedia|dataflow")
-	flag.IntVar(&o.conns, "conns", 0, "connection count for -scenario")
+	flag.StringVar(&o.SpecPath, "spec", "", "use-case JSON")
+	flag.IntVar(&o.Random, "random", 0, "generate this many random connections")
+	flag.StringVar(&o.Scenario, "scenario", "", "generated workload family: uniform|hotspot|transpose|multimedia|dataflow")
+	flag.IntVar(&o.Conns, "conns", 0, "connection count for -scenario")
 	flag.StringVar(&o.alloc, "alloc", "greedy", "slot allocator: greedy | ripup")
-	flag.Int64Var(&o.seed, "seed", 1, "seed for -random/-scenario")
-	flag.IntVar(&o.cols, "cols", 4, "mesh columns")
-	flag.IntVar(&o.rows, "rows", 3, "mesh rows")
-	flag.IntVar(&o.nis, "nis", 4, "NIs per router")
+	flag.Int64Var(&o.Seed, "seed", 1, "seed for -random/-scenario")
+	flag.IntVar(&o.Cols, "cols", 4, "mesh columns")
+	flag.IntVar(&o.Rows, "rows", 3, "mesh rows")
+	flag.IntVar(&o.NIs, "nis", 4, "NIs per router")
 	flag.StringVar(&o.backend, "backend", "aelite", "aelite | aethereal (alias: be) | routerless")
 	flag.StringVar(&o.mode, "mode", "synchronous", "synchronous|mesochronous|asynchronous")
-	flag.Float64Var(&o.freq, "freq", 500, "frequency in MHz")
+	flag.Float64Var(&o.FreqMHz, "freq", 500, "frequency in MHz")
 	flag.Float64Var(&o.warmup, "warmup", 10000, "warm-up in ns")
 	flag.Float64Var(&o.measure, "measure", 50000, "measurement window in ns")
 	flag.BoolVar(&o.tx, "tx", false, "transactional traffic")
@@ -334,15 +321,21 @@ func run(o options) (code int) {
 			f.Close()
 		}()
 	}
+	if o.runs > 1 {
+		return runCampaignSweep(o)
+	}
 
 	// Output files are opened before anything is built or simulated, so an
 	// unwritable path fails in milliseconds instead of after a full run.
+	// simulate closes them after a successful write; the deferred closes
+	// release them on the error paths.
 	var traceFile, metricsFile *os.File
 	if o.traceOut != "" {
 		f, err := os.Create(o.traceOut)
 		if err != nil {
 			return fail(err)
 		}
+		defer f.Close()
 		traceFile = f
 	}
 	if o.metricsOut != "" {
@@ -350,62 +343,57 @@ func run(o options) (code int) {
 		if err != nil {
 			return fail(err)
 		}
+		defer f.Close()
 		metricsFile = f
 	}
-
-	m, uc, err := buildUseCase(o)
+	code, err := simulate(o, o.faultSeed, os.Stdout, traceFile, metricsFile)
 	if err != nil {
 		return fail(err)
 	}
-	if uc == nil {
-		return cli.Usage(tool, errors.New("need -spec, -random or -scenario"))
-	}
+	return code
+}
 
-	campaignMode := o.faults != "" || o.skewPS != 0 || o.rateFaults()
-	if o.backend != "aelite" {
-		if campaignMode {
-			return cli.Usage(tool, errors.New("fault campaigns need the aelite backend"))
-		}
-		return runSeamBackend(o, m, uc, traceFile, metricsFile)
-	}
-
-	if o.runs > 1 {
-		return runCampaignSweep(o)
-	}
-
-	// Campaigns always carry the TDM ownership probes: a corrupted header
-	// re-routes a packet into slots reserved for someone else, which only
-	// the allocation-aware probes can attribute.
-	layout, wordBytes, err := layoutFor(o.cols, o.rows)
+// simulate builds the network the flags describe through the backend
+// seam, runs it once under the given fault seed and writes the report —
+// followed by the audit and campaign summaries when they are armed — to
+// w. traceFile and metricsFile are the opened -trace-out and -metrics-out
+// files, or nil. It returns the exit code the outcome maps to: a
+// campaign's summary is its product, so only an audit failure fails it;
+// any other run also fails on a missed requirement.
+func simulate(o options, faultSeed int64, w io.Writer, traceFile, metricsFile *os.File) (int, error) {
+	m, uc, err := o.Workload.Build()
 	if err != nil {
-		return fail(err)
+		return 0, err
 	}
-	cfg := core.Config{FreqMHz: o.freq, Probes: o.probes || campaignMode, Transactional: o.tx,
-		Reliable: o.reliable, SkewOverridePS: o.skewPS, FastReplay: o.fast, Allocator: o.alloc,
-		Layout: layout, WordBytes: wordBytes}
-	switch o.mode {
-	case "synchronous":
-	case "mesochronous":
-		cfg.Mode = core.Mesochronous
-	case "asynchronous":
-		cfg.Mode = core.Asynchronous
-	default:
-		return cli.Usage(tool, fmt.Errorf("unknown mode %q", o.mode))
+	bk, err := backend.ByName(o.canonicalBackend())
+	if err != nil {
+		return 0, err
 	}
-
+	// A fault campaign is injected events, rate processes or an overridden
+	// mesochronous skew. Campaigns always carry the TDM ownership probes:
+	// a corrupted header re-routes a packet into slots reserved for
+	// someone else, which only the allocation-aware probes can attribute.
+	campaign := o.faults != "" || o.skewPS != 0 || o.rateFaults()
+	p := backend.Params{FreqMHz: o.FreqMHz, Mode: o.clocking, Allocator: o.alloc,
+		Transactional: o.tx, FastReplay: o.fast, Probes: o.probes || campaign,
+		Reliable: o.reliable, SkewOverridePS: o.skewPS}
 	// In a campaign, a collector switches every envelope check from
 	// fail-fast panic to graceful violation recording; -strict keeps the
 	// panics so the first violation halts the run.
 	var collector *fault.Collector
-	if campaignMode && !o.strict {
+	if campaign && !o.strict {
 		collector = fault.NewCollector()
-		cfg.FaultReporter = collector
+		p.FaultReporter = collector
 	}
-
-	core.PrepareTopology(m, cfg)
-	n, err := core.Build(m, uc, cfg)
+	inst, err := bk.Build(m, uc, p)
 	if err != nil {
-		return fail(err)
+		return 0, err
+	}
+	// Fault campaigns and reconfiguration scripts act on the aelite
+	// network itself; validate admits them with no other backend.
+	var net *core.Network
+	if an, ok := inst.(interface{ Network() *core.Network }); ok {
+		net = an.Network()
 	}
 
 	// Tracing: one bus feeds the Chrome sink, the metrics sink and the
@@ -414,13 +402,13 @@ func run(o options) (code int) {
 	var metrics *trace.Metrics
 	var auditor *audit.Auditor
 	var auditCol *fault.Collector
-	if o.traceOut != "" || o.metricsOut != "" || o.audit {
+	if traceFile != nil || metricsFile != nil || o.audit {
 		bus := trace.NewBus()
-		if o.traceOut != "" {
+		if traceFile != nil {
 			chrome = trace.NewChrome(bus)
-			chrome.SetFlitCycle(phit.FlitWords * int64(n.BaseClock().Period))
+			chrome.SetFlitCycle(phit.FlitWords * int64(clock.PeriodFromMHz(o.FreqMHz)))
 		}
-		if o.metricsOut != "" {
+		if metricsFile != nil {
 			metrics = trace.NewMetrics(bus)
 		}
 		if o.audit {
@@ -433,65 +421,72 @@ func run(o options) (code int) {
 				auditCol = fault.NewCollector()
 				audRep = auditCol
 			}
-			auditor = audit.Attach(n, bus, audRep, audit.Options{})
+			auditor = inst.Audit(bus, audRep, audit.Options{})
 		}
-		n.AttachTracer(bus)
+		inst.AttachTracer(bus)
 	}
 
-	var reconfigActs []core.TimedAction
+	var acts []core.TimedAction
 	if o.reconfig != "" {
 		steps, err := parseReconfigScript(o.reconfig)
 		if err != nil {
-			return fail(err)
+			return 0, err
 		}
-		reconfigActs = reconfigActions(steps, auditor)
+		acts = reconfigActions(steps, auditor)
 	}
-
 	var rep *core.Report
-	var summary *fault.Summary
 	runNet := func() error {
-		if len(reconfigActs) == 0 {
-			rep = n.Run(o.warmup, o.measure)
+		if len(acts) == 0 {
+			rep = inst.Run(o.warmup, o.measure)
 			return nil
 		}
 		var err error
-		rep, err = n.RunTimed(o.warmup, o.measure, reconfigActs)
+		rep, err = net.RunTimed(o.warmup, o.measure, acts)
 		return err
 	}
-	if campaignMode {
-		plan, err := o.faultPlan(o.faultSeed)
+	var summary *fault.Summary
+	if campaign {
+		plan, err := o.faultPlan(faultSeed)
 		if err != nil {
-			return fail(err)
+			return 0, err
 		}
 		var runErr error
-		summary, err = fault.Execute(plan, collector, n, func() {
+		summary, err = fault.Execute(plan, collector, net, func() {
 			runErr = runNet()
 		})
 		if err != nil {
-			return fail(err)
+			return 0, err
 		}
 		if runErr != nil {
-			return fail(runErr)
+			return 0, runErr
 		}
 	} else if err := runNet(); err != nil {
-		return fail(err)
+		return 0, err
 	}
-	rep.Write(os.Stdout)
+
+	// The "be" alias keeps its historical output: the verdict line only.
+	if o.backend != "be" {
+		rep.Write(w)
+	}
 	if chrome != nil {
 		if err := writeTrace(traceFile, chrome); err != nil {
-			return fail(err)
+			return 0, err
 		}
 	}
 	if metrics != nil {
-		mrep := metrics.Report(int64(n.Engine().Now()), int64(n.BaseClock().Period))
+		now := clock.Time(o.warmup*float64(clock.Nanosecond)) + clock.Time(o.measure*float64(clock.Nanosecond))
+		if net != nil {
+			now = net.Engine().Now() // a reconfiguration drain may run past the window
+		}
+		mrep := metrics.Report(int64(now), int64(clock.PeriodFromMHz(o.FreqMHz)))
 		if err := writeMetrics(metricsFile, o.metricsOut, mrep); err != nil {
-			return fail(err)
+			return 0, err
 		}
 	}
 	auditFailed := false
 	if auditor != nil {
-		fmt.Println()
-		auditor.WriteSummary(os.Stdout)
+		fmt.Fprintln(w)
+		auditor.WriteSummary(w)
 		if auditor.Violations() > 0 {
 			for _, v := range auditCol.Violations() {
 				fmt.Fprintln(os.Stderr, "aelite-sim: audit:", v)
@@ -499,230 +494,37 @@ func run(o options) (code int) {
 			auditFailed = true
 		}
 	}
+	code := 0
 	if summary != nil {
-		fmt.Println()
-		summary.Write(os.Stdout)
-		if auditFailed {
-			return 1
-		}
-		return 0
+		fmt.Fprintln(w)
+		summary.Write(w)
+	} else {
+		code = verdict(w, rep)
 	}
-	if code := verdict(rep); code != 0 {
-		return code
+	if code == 0 && auditFailed {
+		code = 1
 	}
-	if auditFailed {
-		return 1
-	}
-	return 0
-}
-
-// runSeamBackend builds and runs a non-aelite backend through the
-// backend seam. The "be" alias keeps its historical output — the
-// verdict line only — byte-identical; newer backends print the full
-// per-connection report first. Tracing, metrics and (for bounds-carrying
-// backends) the conformance auditor ride the same shared bus wiring the
-// aelite path uses.
-func runSeamBackend(o options, m *topology.Mesh, uc *spec.UseCase, traceFile, metricsFile *os.File) int {
-	name := o.canonicalBackend()
-	bk, err := backend.ByName(name)
-	if err != nil {
-		return cli.Usage(tool, err)
-	}
-	inst, err := bk.Build(m, uc, backend.Params{FreqMHz: o.freq, Transactional: o.tx})
-	if err != nil {
-		return fail(err)
-	}
-
-	var chrome *trace.Chrome
-	var metrics *trace.Metrics
-	var auditor *audit.Auditor
-	var auditCol *fault.Collector
-	if o.traceOut != "" || o.metricsOut != "" || o.audit {
-		bus := trace.NewBus()
-		if o.traceOut != "" {
-			chrome = trace.NewChrome(bus)
-			chrome.SetFlitCycle(phit.FlitWords * int64(clock.PeriodFromMHz(o.freq)))
-		}
-		if o.metricsOut != "" {
-			metrics = trace.NewMetrics(bus)
-		}
-		if o.audit {
-			if !o.strict {
-				auditCol = fault.NewCollector()
-			}
-			auditor = inst.Audit(bus, auditCol, audit.Options{})
-		}
-		inst.AttachTracer(bus)
-	}
-
-	rep := inst.Run(o.warmup, o.measure)
-	if o.backend != "be" {
-		rep.Write(os.Stdout)
-	}
-	if chrome != nil {
-		if err := writeTrace(traceFile, chrome); err != nil {
-			return fail(err)
-		}
-	}
-	if metrics != nil {
-		now := clock.Time(o.warmup*float64(clock.Nanosecond)) + clock.Time(o.measure*float64(clock.Nanosecond))
-		mrep := metrics.Report(int64(now), int64(clock.PeriodFromMHz(o.freq)))
-		if err := writeMetrics(metricsFile, o.metricsOut, mrep); err != nil {
-			return fail(err)
-		}
-	}
-	code := verdict(rep)
-	if auditor != nil {
-		fmt.Println()
-		auditor.WriteSummary(os.Stdout)
-		if auditor.Violations() > 0 {
-			if auditCol != nil {
-				for _, v := range auditCol.Violations() {
-					fmt.Fprintln(os.Stderr, "aelite-sim: audit:", v)
-				}
-			}
-			if code == 0 {
-				code = 1
-			}
-		}
-	}
-	return code
-}
-
-// layoutFor picks the header layout the mesh diameter needs: the worst
-// minimal route visits cols+rows-1 routers. The paper's 32-bit layout
-// encodes 7 hops; the 64-bit WideLayout (8-byte words) 16. Beyond that
-// no runnable header exists — allocation-only planning (aelite-exp
-// scale) is the tool at that size.
-func layoutFor(cols, rows int) (phit.HeaderLayout, int, error) {
-	ports := cols + rows - 1
-	switch {
-	case ports <= phit.DefaultLayout.MaxHops():
-		return phit.DefaultLayout, 4, nil
-	case ports <= phit.WideLayout.MaxHops():
-		return phit.WideLayout, 8, nil
-	}
-	return phit.HeaderLayout{}, 0, fmt.Errorf(
-		"a %dx%d mesh needs %d-hop headers; the widest layout encodes %d (allocation-only planning via aelite-exp scale has no such cap)",
-		cols, rows, ports, phit.WideLayout.MaxHops())
-}
-
-// buildUseCase assembles the mesh and use case from the flags. A nil use
-// case (with nil error) means neither -spec nor -random was given. Sweep
-// workers call it once each: a use case is mutated during mapping and
-// build-time budget negotiation, so it must never be shared across
-// engines.
-func buildUseCase(o options) (*topology.Mesh, *spec.UseCase, error) {
-	m := topology.NewMesh(o.cols, o.rows, o.nis)
-	var uc *spec.UseCase
-	switch {
-	case o.scenario != "":
-		fam, err := scenario.ParseFamily(o.scenario)
-		if err != nil {
-			return nil, nil, err
-		}
-		cfg := scenario.Default(fam, o.cols, o.rows, o.conns, o.seed)
-		cfg.NIsPerRouter = o.nis
-		cfg.FreqMHz = o.freq
-		if _, wordBytes, err := layoutFor(o.cols, o.rows); err == nil {
-			// Quantisation must target the word width the network will
-			// actually run at (the wide layout carries 8-byte words).
-			cfg.WordBytes = wordBytes
-		}
-		s, err := scenario.Generate(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		uc = s.UseCase
-	case o.specPath != "":
-		var err error
-		uc, err = spec.Load(o.specPath)
-		if err != nil {
-			return nil, nil, err
-		}
-	case o.random > 0:
-		uc = spec.Random(spec.RandomConfig{
-			Name: "random", Seed: o.seed,
-			IPs: o.cols * o.rows * o.nis, Apps: 4, Conns: o.random,
-			MinRateMBps: 10, MaxRateMBps: 300, HeavyFraction: 0.1, HeavyMinRateMBps: 40,
-			MinLatencyNs: 150, MaxLatencyNs: 900,
-		})
-	default:
-		return m, nil, nil
-	}
-	unmapped := false
-	for _, ip := range uc.IPs {
-		if ip.NI == topology.Invalid {
-			unmapped = true
-		}
-	}
-	if unmapped {
-		spec.MapIPsByTraffic(uc, m)
-	}
-	return m, uc, nil
-}
-
-// campaignPoint is one worker of a -runs sweep: it builds a private
-// network and engine, arms the campaign with the given fault seed, runs
-// it, and renders the connection report plus campaign summary. A strict-
-// mode envelope violation (or any other panic) is returned as an error so
-// one failed point cannot tear down the whole sweep.
-func campaignPoint(o options, faultSeed int64) (out []byte, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("fatal: %v", r)
-		}
-	}()
-	m, uc, err := buildUseCase(o)
-	if err != nil {
-		return nil, err
-	}
-	layout, wordBytes, err := layoutFor(o.cols, o.rows)
-	if err != nil {
-		return nil, err
-	}
-	cfg := core.Config{FreqMHz: o.freq, Probes: true, Transactional: o.tx,
-		Reliable: o.reliable, SkewOverridePS: o.skewPS, FastReplay: o.fast, Allocator: o.alloc,
-		Layout: layout, WordBytes: wordBytes}
-	if o.mode == "mesochronous" {
-		cfg.Mode = core.Mesochronous
-	} else if o.mode == "asynchronous" {
-		cfg.Mode = core.Asynchronous
-	}
-	var collector *fault.Collector
-	if !o.strict {
-		collector = fault.NewCollector()
-		cfg.FaultReporter = collector
-	}
-	core.PrepareTopology(m, cfg)
-	n, err := core.Build(m, uc, cfg)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := o.faultPlan(faultSeed)
-	if err != nil {
-		return nil, err
-	}
-	var rep *core.Report
-	summary, err := fault.Execute(plan, collector, n, func() {
-		rep = n.Run(o.warmup, o.measure)
-	})
-	if err != nil {
-		return nil, err
-	}
-	var b bytes.Buffer
-	rep.Write(&b)
-	fmt.Fprintln(&b)
-	summary.Write(&b)
-	return b.Bytes(), nil
+	return code, nil
 }
 
 // runCampaignSweep fans o.runs campaign points with consecutive fault
 // seeds across the worker pool and prints each point's rendered output in
-// seed order — byte-identical at every -j value.
+// seed order — byte-identical at every -j value. Every point builds its
+// own use case, network and engine; a strict-mode envelope violation (or
+// any other panic) in one point is returned as that point's error, so it
+// cannot tear down the whole sweep.
 func runCampaignSweep(o options) int {
-	outs, err := parallel.Map(parallel.Jobs(o.jobs), o.runs, func(i int) ([]byte, error) {
-		return campaignPoint(o, o.faultSeed+int64(i))
+	outs, err := parallel.Map(parallel.Jobs(o.jobs), o.runs, func(i int) (out []byte, err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("fatal: %v", r)
+			}
+		}()
+		var b bytes.Buffer
+		if _, err := simulate(o, o.faultSeed+int64(i), &b, nil, nil); err != nil {
+			return nil, err
+		}
+		return b.Bytes(), nil
 	})
 	if err != nil {
 		return fail(err)
@@ -737,12 +539,12 @@ func runCampaignSweep(o options) int {
 	return 0
 }
 
-func verdict(rep *core.Report) int {
+func verdict(w io.Writer, rep *core.Report) int {
 	if rep.AllMet() {
-		fmt.Println("\nall requirements met")
+		fmt.Fprintln(w, "\nall requirements met")
 		return 0
 	}
-	fmt.Printf("\n%d requirements MISSED\n", len(rep.Violations()))
+	fmt.Fprintf(w, "\n%d requirements MISSED\n", len(rep.Violations()))
 	return 1
 }
 

@@ -24,11 +24,13 @@ import (
 	"repro/internal/trace"
 )
 
-// Params carries the construction knobs shared across backends. Zero
-// fields take each backend's own defaults (the paper-wide 32-bit words
-// at 500 MHz), so a zero Params builds the same network the direct
-// constructors build with a zero config — the seam adds no defaults of
-// its own.
+// Params carries the construction knobs shared across backends. A zero
+// Layout and WordBytes take the header layout the mesh needs
+// (phit.LayoutForMesh: the paper's 32-bit words up to 7-hop routes, the
+// 64-bit wide layout up to 16) and its word width; the other zero fields
+// take the paper-wide defaults (500 MHz, synchronous). The backends'
+// builders apply both, so a zero Params builds the same network the
+// direct constructors build with a zero config.
 type Params struct {
 	Layout    phit.HeaderLayout
 	WordBytes int
@@ -42,6 +44,28 @@ type Params struct {
 	TrafficBurstFactor float64
 	Transactional      bool
 	FastReplay         bool
+
+	// The aelite-only knobs, each the core.Config field of the same
+	// name: TDM ownership probes, the end-to-end reliability shell, the
+	// mesochronous skew override and the fault reporter that turns
+	// envelope panics into collected violations. The single-clock
+	// backends reject them, as they reject a non-synchronous Mode.
+	Probes         bool
+	Reliable       bool
+	SkewOverridePS int64
+	FaultReporter  fault.Reporter
+}
+
+// singleClock rejects the Params a single-clock backend without TDM
+// probes, reliability shell or fault hooks cannot honour.
+func (p Params) singleClock(backend, what string) error {
+	if p.Mode != core.Synchronous {
+		return fmt.Errorf("backend %s: %s (got mode %s)", backend, what, p.Mode)
+	}
+	if p.Probes || p.Reliable || p.SkewOverridePS != 0 || p.FaultReporter != nil {
+		return fmt.Errorf("backend %s: probes, the reliability shell, skew overrides and fault reporting need the aelite backend", backend)
+	}
+	return nil
 }
 
 // An Instance is one built, runnable network of any backend.
@@ -161,6 +185,10 @@ func (aeliteBackend) Build(m *topology.Mesh, uc *spec.UseCase, p Params) (Instan
 		TrafficBurstFactor: p.TrafficBurstFactor,
 		Transactional:      p.Transactional,
 		FastReplay:         p.FastReplay,
+		Probes:             p.Probes,
+		Reliable:           p.Reliable,
+		SkewOverridePS:     p.SkewOverridePS,
+		FaultReporter:      p.FaultReporter,
 	}
 	core.PrepareTopology(m, cfg)
 	n, err := core.Build(m, uc, cfg)
@@ -200,8 +228,8 @@ func (aetherealBackend) Name() string    { return "aethereal" }
 func (aetherealBackend) HasBounds() bool { return false }
 
 func (aetherealBackend) Build(m *topology.Mesh, uc *spec.UseCase, p Params) (Instance, error) {
-	if p.Mode != core.Synchronous {
-		return nil, fmt.Errorf("backend aethereal: the Æthereal baseline is globally synchronous (got mode %s)", p.Mode)
+	if err := p.singleClock("aethereal", "the Æthereal baseline is globally synchronous"); err != nil {
+		return nil, err
 	}
 	n, err := core.BuildBE(m, uc, core.BEConfig{
 		Layout:             p.Layout,
@@ -241,8 +269,8 @@ func (routerlessBackend) Name() string    { return "routerless" }
 func (routerlessBackend) HasBounds() bool { return true }
 
 func (routerlessBackend) Build(m *topology.Mesh, uc *spec.UseCase, p Params) (Instance, error) {
-	if p.Mode != core.Synchronous {
-		return nil, fmt.Errorf("backend routerless: the ring overlay is single-clock (got mode %s)", p.Mode)
+	if err := p.singleClock("routerless", "the ring overlay is single-clock"); err != nil {
+		return nil, err
 	}
 	n, err := routerless.Build(m, uc, routerless.Config{
 		WordBytes:          p.WordBytes,

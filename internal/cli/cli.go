@@ -14,6 +14,10 @@
 // standard error (ExitFatal prefixes the message with "fatal:"), the
 // style set by the PR 1 fault layer: a one-line diagnostic instead of a
 // raw stack trace.
+//
+// Workload is the other shared piece: the use-case flags of aelite-sim
+// and aelite-alloc (-spec, -random, -scenario with -conns, the mesh),
+// validated and built into a mapped use case one way for both.
 package cli
 
 import (

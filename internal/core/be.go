@@ -107,6 +107,10 @@ func (n *BENetwork) AttachTracer(bus *trace.Bus) {
 // The mesh must have zero pipeline stages (the Æthereal baseline is
 // globally synchronous).
 func BuildBE(m *topology.Mesh, uc *spec.UseCase, cfg BEConfig) (*BENetwork, error) {
+	var err error
+	if cfg.Layout, cfg.WordBytes, err = meshLayout(m, cfg.Layout, cfg.WordBytes); err != nil {
+		return nil, err
+	}
 	cfg.ApplyDefaults()
 	if err := uc.Validate(); err != nil {
 		return nil, err

@@ -53,6 +53,17 @@ func (m Mode) String() string {
 	}
 }
 
+// ParseMode resolves a clocking mode by its String name, the one parser
+// behind every -mode flag and job spec.
+func ParseMode(s string) (Mode, error) {
+	for _, m := range []Mode{Synchronous, Mesochronous, Asynchronous} {
+		if m.String() == s {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q (synchronous | mesochronous | asynchronous)", s)
+}
+
 // Config parameterises network construction. ApplyDefaults fills zero
 // fields.
 type Config struct {
@@ -130,8 +141,28 @@ type Config struct {
 	SkewOverridePS int64
 }
 
+// meshLayout resolves the header layout and word width a build on m runs
+// at: the given ones, or for a zero layout phit.LayoutForMesh and (for a
+// zero wordBytes) its word width. The error names a mesh no runnable
+// header can serve.
+func meshLayout(m *topology.Mesh, l phit.HeaderLayout, wordBytes int) (phit.HeaderLayout, int, error) {
+	if l.WordBits != 0 {
+		return l, wordBytes, nil
+	}
+	l, err := phit.LayoutForMesh(m.Cols, m.Rows)
+	if wordBytes == 0 {
+		wordBytes = l.WordBytes()
+	}
+	if err != nil {
+		err = fmt.Errorf("core: %w (allocation-only planning via aelite-exp scale has no such cap)", err)
+	}
+	return l, wordBytes, err
+}
+
 // ApplyDefaults fills zero-valued fields with the paper's defaults: 32-bit
 // words, 500 MHz, synchronous, one stage per link in mesochronous mode.
+// Build, BuildBE and PlanAllocation first fill a zero Layout from the
+// mesh instead (phit.LayoutForMesh).
 func (c *Config) ApplyDefaults() {
 	if c.Layout.WordBits == 0 {
 		c.Layout = phit.DefaultLayout
@@ -230,6 +261,10 @@ var candidateTableSizes = []int{8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256}
 // Call PrepareTopology on the mesh first so routing knows the link
 // pipeline depths this config instantiates.
 func Build(m *topology.Mesh, uc *spec.UseCase, cfg Config) (*Network, error) {
+	var err error
+	if cfg.Layout, cfg.WordBytes, err = meshLayout(m, cfg.Layout, cfg.WordBytes); err != nil {
+		return nil, err
+	}
 	cfg.ApplyDefaults()
 	cfg.UncappedPaths = false // planning-only relaxation; headers must encode
 
@@ -248,7 +283,6 @@ func Build(m *topology.Mesh, uc *spec.UseCase, cfg Config) (*Network, error) {
 	var (
 		alloc *slots.Allocation
 		infos map[phit.ConnID]*connInfo
-		err   error
 	)
 	for _, s := range sizes {
 		alloc, infos, err = allocate(m, uc, cfg, s)

@@ -184,4 +184,13 @@ func TestModeString(t *testing.T) {
 	if Mode(9).String() != "Mode(9)" {
 		t.Error("unknown mode string")
 	}
+	for _, m := range []Mode{Synchronous, Mesochronous, Asynchronous} {
+		if got, err := ParseMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	_, err := ParseMode("plesiochronous")
+	if want := `unknown mode "plesiochronous" (synchronous | mesochronous | asynchronous)`; err == nil || err.Error() != want {
+		t.Errorf("ParseMode error = %v, want %s", err, want)
+	}
 }

@@ -46,6 +46,11 @@ func (p *Plan) SuccessRate() float64 {
 // connection — it records it. The mesh must already be through
 // PrepareTopology.
 func PlanAllocation(m *topology.Mesh, uc *spec.UseCase, cfg Config) (*Plan, error) {
+	// Past every runnable header, uncapped planning sizes for the widest.
+	var err error
+	if cfg.Layout, cfg.WordBytes, err = meshLayout(m, cfg.Layout, cfg.WordBytes); err != nil && !cfg.UncappedPaths {
+		return nil, err
+	}
 	cfg.ApplyDefaults()
 	if cfg.TableSize == 0 {
 		cfg.TableSize = 64

@@ -74,3 +74,26 @@ func TestCompareRejectsUnknownBackend(t *testing.T) {
 		t.Errorf("error does not list valid backends: %v", err)
 	}
 }
+
+// TestCompareBeyondSevenHops: on a 5x5 mesh the longest minimal route
+// (9 hops, taken by the transpose family's corner-to-corner traffic)
+// overflows the paper's 32-bit header, so every backend must run at the
+// wide layout the mesh needs; the study builds and verifies clean.
+func TestCompareBeyondSevenHops(t *testing.T) {
+	cfg := DefaultCompareConfig()
+	cfg.Cols, cfg.Rows = 5, 5
+	cfg.Conns = 16
+	cfg.MeasureNs = 10000
+	rep, err := CompareStudy(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range rep.Points {
+		if p.Delivered == 0 {
+			t.Errorf("%s/%s delivered nothing", p.Family, p.Backend)
+		}
+	}
+}

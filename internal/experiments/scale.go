@@ -117,19 +117,12 @@ func scalePoint(ctx context.Context, cfg ScaleConfig, fam scenario.Family, mesh 
 	if cfg.TableSize != 0 {
 		scfg.TableSize = cfg.TableSize
 	}
+	// The header layout and word width follow the mesh (core and
+	// scenario.Default both apply phit.LayoutForMesh). Past every runnable
+	// header, planning proceeds with the path cap lifted — allocation-only
+	// territory.
 	ncfg := core.Config{FreqMHz: scfg.FreqMHz, TableSize: scfg.TableSize, Allocator: alloc, FastReplay: true}
-	// Pick the header layout the mesh diameter needs: the worst minimal
-	// route visits cols+rows-1 routers (one port each). Past the paper's
-	// 32-bit layout, the wide 64-bit instance takes over (8-byte words so
-	// the header still fills one link word); past even that, planning
-	// proceeds with the path cap lifted — allocation-only territory.
-	ports := mesh.Cols + mesh.Rows - 1
-	if ports > phit.DefaultLayout.MaxHops() {
-		ncfg.Layout = phit.WideLayout
-		ncfg.WordBytes = 8
-		scfg.WordBytes = 8
-	}
-	if ports > phit.WideLayout.MaxHops() {
+	if _, err := phit.LayoutForMesh(mesh.Cols, mesh.Rows); err != nil {
 		ncfg.UncappedPaths = true
 	}
 	s, err := scenario.Generate(scfg)

@@ -20,4 +20,6 @@
 // with NextPort, and core.buildRequests rejects candidate routes longer
 // than MaxHops(). DefaultLayout is the paper's 32-bit instance;
 // WideLayout is the 64-bit scaled-up instance large-mesh studies use.
+// LayoutForMesh is the one rule choosing between them from the mesh size;
+// every builder applies it to a zero layout.
 package phit

@@ -50,6 +50,29 @@ var WideLayout = HeaderLayout{
 	CreditBits: 7,
 }
 
+// LayoutForMesh picks the header layout a cols x rows mesh runs at: the
+// narrowest of DefaultLayout and WideLayout whose path field holds the
+// mesh's longest minimal route, which visits cols+rows-1 routers and
+// consumes one path entry at each. Past WideLayout no header encodes
+// every route; LayoutForMesh then returns WideLayout together with the
+// error, the widest word for callers that encode no header
+// (allocation-only planning, the headerless routerless rings).
+func LayoutForMesh(cols, rows int) (HeaderLayout, error) {
+	hops := cols + rows - 1
+	switch {
+	case hops <= DefaultLayout.MaxHops():
+		return DefaultLayout, nil
+	case hops <= WideLayout.MaxHops():
+		return WideLayout, nil
+	}
+	return WideLayout, fmt.Errorf("a %dx%d mesh needs %d-hop headers; the widest layout encodes %d",
+		cols, rows, hops, WideLayout.MaxHops())
+}
+
+// WordBytes is the link word width in bytes, the unit in which builders
+// and generators quantise bandwidth.
+func (l HeaderLayout) WordBytes() int { return l.WordBits / 8 }
+
 // Validate checks internal consistency of the layout.
 func (l HeaderLayout) Validate() error {
 	switch {

@@ -210,3 +210,32 @@ func TestPhitString(t *testing.T) {
 		t.Errorf("unknown kind String() = %q", got)
 	}
 }
+
+// TestLayoutForMesh pins the one layout rule: the narrowest layout whose
+// path field holds a cols+rows-1 hop route, and the widest layout plus
+// an error past every one.
+func TestLayoutForMesh(t *testing.T) {
+	cases := []struct {
+		cols, rows int
+		want       HeaderLayout
+		wantErr    bool
+	}{
+		{4, 3, DefaultLayout, false},
+		{4, 4, DefaultLayout, false},
+		{5, 4, WideLayout, false},
+		{5, 5, WideLayout, false},
+		{8, 8, WideLayout, false},
+		{9, 8, WideLayout, false},
+		{9, 9, WideLayout, true},
+		{32, 32, WideLayout, true},
+	}
+	for _, c := range cases {
+		got, err := LayoutForMesh(c.cols, c.rows)
+		if got != c.want || (err != nil) != c.wantErr {
+			t.Errorf("LayoutForMesh(%d, %d) = %+v, %v; want %+v, error %v", c.cols, c.rows, got, err, c.want, c.wantErr)
+		}
+	}
+	if got := WideLayout.WordBytes(); got != 8 {
+		t.Errorf("WideLayout.WordBytes() = %d, want 8", got)
+	}
+}

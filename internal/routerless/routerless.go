@@ -56,7 +56,8 @@ type Config struct {
 	Transactional bool
 }
 
-// ApplyDefaults fills zero fields: 32-bit words at 500 MHz.
+// ApplyDefaults fills zero fields: 32-bit words at 500 MHz. Build first
+// fills a zero WordBytes from the mesh (phit.LayoutForMesh).
 func (c *Config) ApplyDefaults() {
 	if c.WordBytes == 0 {
 		c.WordBytes = 4
@@ -214,6 +215,13 @@ func (n *Network) Info(c phit.ConnID) (core.ConnectionInfo, error) {
 // every connection to the shortest ring with free slot capacity. The use
 // case must be validated and its IPs mapped, exactly as for core.Build.
 func Build(m *topology.Mesh, uc *spec.UseCase, cfg Config) (*Network, error) {
+	if cfg.WordBytes == 0 {
+		// The word width the mesh's header layout needs, as on the
+		// other backends; the rings encode no header, so past every
+		// layout the widest word (returned with the error) serves.
+		l, _ := phit.LayoutForMesh(m.Cols, m.Rows)
+		cfg.WordBytes = l.WordBytes()
+	}
 	cfg.ApplyDefaults()
 	if err := uc.Validate(); err != nil {
 		return nil, err

@@ -98,9 +98,11 @@ type Config struct {
 
 // Default returns the documented configuration of a family at the given
 // scale: one IP per NI (2 NIs per router), 4 applications, a 10-100
-// Mbyte/s rate band with a 10% heavy tail, 500 MHz, 4-byte words, and a
-// table of 64 slots (128 for meshes beyond 8x8, where finer bandwidth
-// granularity is what lets a thousand small requirements co-exist).
+// Mbyte/s rate band with a 10% heavy tail, 500 MHz, the word width of the
+// mesh's header layout (phit.LayoutForMesh: 4 bytes up to 7-hop routes,
+// 8 beyond), and a table of 64 slots (128 for meshes beyond 8x8, where
+// finer bandwidth granularity is what lets a thousand small requirements
+// co-exist).
 func Default(f Family, cols, rows, conns int, seed int64) Config {
 	cfg := Config{Family: f, Seed: seed, Cols: cols, Rows: rows, Conns: conns}
 	cfg.applyDefaults()
@@ -118,7 +120,11 @@ func (c *Config) applyDefaults() {
 		c.FreqMHz = 500
 	}
 	if c.WordBytes == 0 {
-		c.WordBytes = 4
+		// Quantise for the word width the network runs at. Past every
+		// runnable header, allocation-only planning uses the widest
+		// word, which LayoutForMesh returns with its error.
+		l, _ := phit.LayoutForMesh(c.Cols, c.Rows)
+		c.WordBytes = l.WordBytes()
 	}
 	if c.TableSize == 0 {
 		if c.Cols*c.Rows > 64 {

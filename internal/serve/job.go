@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/phit"
@@ -115,10 +116,8 @@ func (s *JobSpec) Validate() error {
 	if s.Shards < 1 || s.Shards > MaxShards {
 		return fmt.Errorf("shards %d outside [1, %d]", s.Shards, MaxShards)
 	}
-	switch s.Mode {
-	case "synchronous", "mesochronous", "asynchronous":
-	default:
-		return fmt.Errorf("unknown mode %q (synchronous | mesochronous | asynchronous)", s.Mode)
+	if _, err := core.ParseMode(s.Mode); err != nil {
+		return err
 	}
 	if _, err := slots.ByName(s.Allocator); err != nil {
 		return err
@@ -132,9 +131,8 @@ func (s *JobSpec) Validate() error {
 	if s.DeadlineMs < 0 {
 		return fmt.Errorf("deadline_ms %d must not be negative", s.DeadlineMs)
 	}
-	if ports := s.Cols + s.Rows - 1; s.Kind == "scenario" && ports > phit.WideLayout.MaxHops() {
-		return fmt.Errorf("a %dx%d mesh needs %d-hop headers; the widest runnable layout encodes %d (submit kind \"scale\" for allocation-only planning)",
-			s.Cols, s.Rows, ports, phit.WideLayout.MaxHops())
+	if _, err := phit.LayoutForMesh(s.Cols, s.Rows); err != nil && s.Kind != "scale" {
+		return fmt.Errorf("%w (submit kind \"scale\" for allocation-only planning)", err)
 	}
 	return nil
 }
@@ -218,32 +216,25 @@ func runShard(ctx context.Context, spec JobSpec, shard int) (*ShardResult, error
 	if err != nil {
 		return nil, err
 	}
+	mode, err := core.ParseMode(spec.Mode)
+	if err != nil {
+		return nil, err
+	}
 	scfg := scenario.Default(fam, spec.Cols, spec.Rows, spec.Conns, spec.Seed+int64(shard))
 	scfg.FreqMHz = spec.FreqMHz
-	ncfg := core.Config{FreqMHz: spec.FreqMHz, Allocator: spec.Allocator}
-	switch spec.Mode {
-	case "mesochronous":
-		ncfg.Mode = core.Mesochronous
-	case "asynchronous":
-		ncfg.Mode = core.Asynchronous
-	}
-	// Header layout follows the mesh diameter, as in the CLIs.
-	if ports := spec.Cols + spec.Rows - 1; ports > phit.DefaultLayout.MaxHops() {
-		ncfg.Layout = phit.WideLayout
-		ncfg.WordBytes = 8
-		scfg.WordBytes = 8
-	}
 	s, err := scenario.Generate(scfg)
 	if err != nil {
 		return nil, err
 	}
-	m := s.Mesh()
-	core.PrepareTopology(m, ncfg)
-	n, err := core.Build(m, s.UseCase, ncfg)
+	b, err := backend.ByName("aelite")
 	if err != nil {
 		return nil, err
 	}
-	rep := n.Run(spec.WarmupNs, spec.MeasureNs)
+	inst, err := b.Build(s.Mesh(), s.UseCase, backend.Params{FreqMHz: spec.FreqMHz, Mode: mode, Allocator: spec.Allocator})
+	if err != nil {
+		return nil, err
+	}
+	rep := inst.Run(spec.WarmupNs, spec.MeasureNs)
 
 	res := &ShardResult{
 		Shard: shard, Name: scfg.Name, Conns: len(rep.Conns),

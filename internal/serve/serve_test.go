@@ -121,6 +121,30 @@ func TestAdmissionRejectsTyped(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsMeshPastWidestHeader: scenario and compare jobs
+// build runnable networks, so a mesh whose longest minimal route needs
+// more than the widest header's 16 hops is an invalid spec; a scale job
+// plans allocation only and is admitted at any size.
+func TestValidateRejectsMeshPastWidestHeader(t *testing.T) {
+	for _, c := range []struct {
+		kind       string
+		cols, rows int
+		ok         bool
+	}{
+		{"scenario", 8, 9, true},
+		{"scenario", 9, 9, false},
+		{"compare", 8, 9, true},
+		{"compare", 12, 12, false},
+		{"scale", 12, 12, true},
+	} {
+		spec := JobSpec{Kind: c.kind, Cols: c.cols, Rows: c.rows}
+		spec.Normalize()
+		if err := spec.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s %dx%d: Validate() = %v, want ok %v", c.kind, c.cols, c.rows, err, c.ok)
+		}
+	}
+}
+
 func TestCancelQueuedJob(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{}) // not started: job stays queued
 	j, err := s.Submit(quickSpec(2))
